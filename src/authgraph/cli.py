@@ -25,13 +25,12 @@ from .model import (
     Operation,
     PositiveKind,
     RevocationDelta,
-    RevocationRequest,
     RevokeOp,
     Scheme,
     Timeline,
     UndoOp,
 )
-from .revocation import apply_operation, apply_scheme, grant, issue_negative, undo_negative
+from .revocation import apply_operation
 from .semantics import has_access_right, has_delegation_right, validate_connectivity
 
 EXIT_OK = 0
@@ -151,9 +150,23 @@ def _summarize(delta: RevocationDelta) -> str:
     )
 
 
+def _operation(args: argparse.Namespace) -> Operation:
+    """The single operation an `apply`, `grant`, `negative` or `undo` command names."""
+    match args.command:
+        case "apply":
+            return RevokeOp(Scheme[args.scheme], args.src, args.dst)
+        case "grant":
+            return GrantOp(args.src, args.dst, PositiveKind[args.kind])
+        case "negative":
+            return NegativeOp(args.src, args.dst)
+        case "undo":
+            return UndoOp(args.src, args.dst)
+    raise AssertionError(f"unhandled command {args.command!r}")
+
+
 def _run(args: argparse.Namespace) -> int:
+    state = parse_state(_read_text(args.state))
     if args.command == "check":
-        state = parse_state(_read_text(args.state))
         violations = validate_connectivity(state)
         if violations:
             for violation in violations:
@@ -163,45 +176,26 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "rights":
-        state = parse_state(_read_text(args.state))
         access = has_access_right(state, args.principal)
         delegation = has_delegation_right(state, args.principal)
         print(f"access={str(access).lower()} delegation={str(delegation).lower()}")
         return EXIT_OK
 
     if args.command == "export":
-        state = parse_state(_read_text(args.state))
         _write_output(export_dot(state), args.output)
         return EXIT_OK
 
-    state = parse_state(_read_text(args.state))
     config = EngineConfig(sgd_descendant_dominance=not getattr(args, "sgd_variant", False))
-
-    if args.command == "apply":
-        request = RevocationRequest(Scheme[args.scheme], args.src, args.dst)
-        post, delta = apply_scheme(state, request, config)
-        print(f"{_describe(RevokeOp(request.scheme, args.src, args.dst))}: {_summarize(delta)}", file=sys.stderr)
-    elif args.command == "grant":
-        post, delta = grant(state, args.src, args.dst, PositiveKind[args.kind])
-        print(f"{_describe(GrantOp(args.src, args.dst, PositiveKind[args.kind]))}: {_summarize(delta)}", file=sys.stderr)
-    elif args.command == "negative":
-        post, delta = issue_negative(state, args.src, args.dst)
-        print(f"{_describe(NegativeOp(args.src, args.dst))}: {_summarize(delta)}", file=sys.stderr)
-    elif args.command == "undo":
-        post, delta = undo_negative(state, args.src, args.dst)
-        print(f"{_describe(UndoOp(args.src, args.dst))}: {_summarize(delta)}", file=sys.stderr)
-    elif args.command == "trace":
+    if args.command == "trace":
         operations = parse_trace(_read_text(args.trace))
-        timeline = Timeline(initial=state)
-        for index, op in enumerate(operations):
-            timeline = apply_operation(timeline, op, config)
-            step = timeline.steps[-1]
-            print(f"step {index + 1}: {_describe(op)}: {_summarize(step.delta)}", file=sys.stderr)
-        post = timeline.current
     else:
-        raise AssertionError(f"unhandled command {args.command!r}")
-
-    _write_output(serialize_state(post), args.output)
+        operations = (_operation(args),)
+    timeline = Timeline(initial=state)
+    for index, op in enumerate(operations):
+        timeline = apply_operation(timeline, op, config)
+        step = f"step {index + 1}: " if args.command == "trace" else ""
+        print(f"{step}{_describe(op)}: {_summarize(timeline.steps[-1].delta)}", file=sys.stderr)
+    _write_output(serialize_state(timeline.current), args.output)
     return EXIT_OK
 
 
@@ -216,10 +210,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (PreconditionError, UnknownPrincipalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ModelError as exc:
+    except (PreconditionError, UnknownPrincipalError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except AuthGraphError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ModelError, ParseError
+from .errors import ParseError
 from .model import (
     AuthorizationState,
     GrantOp,
@@ -25,7 +25,7 @@ from .model import (
     Scheme,
     UndoOp,
 )
-from .semantics import is_auth_active
+from .semantics import reachable_active
 
 FORMAT_VERSION = 1
 
@@ -94,12 +94,23 @@ def _parse_endpoints(
     return grantor, grantee
 
 
-def parse_state(text: str) -> AuthorizationState:
-    """Parse a state document, validating structure and well-formedness."""
+def _load(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid document: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid document: nested too deeply") from exc
+
+
+def parse_state(text: str) -> AuthorizationState:
+    """Parse a state document, validating structure and well-formedness.
+
+    Every check the public `AuthorizationState` constructor makes is made
+    here, with the entry's location, so the state is built through the
+    trusted path without checking anything twice.
+    """
+    doc = _load(text)
     _expect(isinstance(doc, dict), "state document must be an object")
     allowed = {"version", "soa", "principals", "positive", "negative", "time"}
     for key in doc:
@@ -128,8 +139,7 @@ def parse_state(text: str) -> AuthorizationState:
         "state: member 'time' must be a non-negative integer",
     )
 
-    positive: list[PositiveAuth] = []
-    seen_pos: set[tuple[str, str]] = set()
+    positive: dict[tuple[str, str], PositiveAuth] = {}
     _expect("positive" in doc, "state: missing member 'positive'")
     _expect(isinstance(doc["positive"], list), "state: member 'positive' must be a list")
     for index, entry in enumerate(doc["positive"]):
@@ -143,15 +153,15 @@ def parse_state(text: str) -> AuthorizationState:
             f"{where}: member 'kind' must be \"TT\" or \"TF\"",
         )
         _expect(
-            (grantor, grantee) not in seen_pos,
+            (grantor, grantee) not in positive,
             f"{where}: duplicate authorization {grantor!r} -> {grantee!r}",
         )
-        seen_pos.add((grantor, grantee))
         label = _parse_label(entry["label"], where) if "label" in entry else None
-        positive.append(PositiveAuth(grantor, grantee, PositiveKind[raw_kind], label))
+        positive[(grantor, grantee)] = PositiveAuth(
+            grantor, grantee, PositiveKind[raw_kind], label
+        )
 
-    negative: list[NegativeAuth] = []
-    seen_neg: set[tuple[str, str]] = set()
+    negative: dict[tuple[str, str], NegativeAuth] = {}
     _expect("negative" in doc, "state: missing member 'negative'")
     _expect(isinstance(doc["negative"], list), "state: member 'negative' must be a list")
     for index, entry in enumerate(doc["negative"]):
@@ -160,23 +170,23 @@ def parse_state(text: str) -> AuthorizationState:
             entry, where, principals, {"from", "to", "label"}
         )
         _expect(
-            (grantor, grantee) not in seen_neg,
+            (grantor, grantee) not in negative,
             f"{where}: duplicate negative authorization {grantor!r} -> {grantee!r}",
         )
-        seen_neg.add((grantor, grantee))
         label = _parse_label(entry["label"], where) if "label" in entry else None
-        negative.append(NegativeAuth(grantor, grantee, label))
+        negative[(grantor, grantee)] = NegativeAuth(grantor, grantee, label)
 
-    try:
-        return AuthorizationState(
-            soa=soa,
-            principals=frozenset(principals),
-            positive=tuple(positive),
-            negative=tuple(negative),
-            time=time,
-        )
-    except ModelError as exc:
-        raise ParseError(f"state: {exc}") from exc
+    _expect(soa != "", "state: SOA id must be non-empty")
+    _expect("" not in principals, "state: principal ids must be non-empty strings")
+    return AuthorizationState._trusted(
+        soa=soa,
+        principals=frozenset(principals),
+        positive=tuple(positive[pair] for pair in sorted(positive)),
+        negative=tuple(negative[pair] for pair in sorted(negative)),
+        time=time,
+        positive_by_pair=positive,
+        negative_by_pair=negative,
+    )
 
 
 # Serialization.
@@ -237,10 +247,7 @@ def parse_trace(text: str) -> tuple[Operation, ...]:
     plus "kind" exactly when op is "grant" and "scheme" exactly when op is
     "revoke".
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid document: {exc}") from exc
+    doc = _load(text)
     if isinstance(doc, dict):
         allowed = {"version", "operations"}
         for key in doc:
@@ -303,13 +310,15 @@ def export_dot(state: AuthorizationState) -> str:
     ordering is deterministic: nodes sorted, then positive edges, then
     negative edges, each sorted by endpoints.
     """
+    active = reachable_active(state)
+    blocked = state.negative_by_pair
     lines = ["digraph authorization {", "  rankdir=LR;"]
     for p in sorted(state.principals):
         attrs = " [peripheries=2]" if p == state.soa else ""
         lines.append(f"  {_dot_quote(p)}{attrs};")
     for auth in state.positive:
         attrs = f"label={_dot_quote(auth.kind.name)}"
-        if not is_auth_active(state, auth.grantor, auth.grantee):
+        if auth.grantor not in active or (auth.grantor, auth.grantee) in blocked:
             attrs += ", style=dashed"
         lines.append(
             f"  {_dot_quote(auth.grantor)} -> {_dot_quote(auth.grantee)} [{attrs}];"

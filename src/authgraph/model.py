@@ -13,16 +13,45 @@ Positive and negative authorizations are stored as tuples sorted by
 (grantor, grantee), so value equality of two states is equality of their
 canonical forms.  The state time is a step counter; it is carried through
 serialization but deliberately ignored by `states_equal`.
+
+Validation happens once, at the trust boundary: the public constructor checks
+and sorts everything it is given.  `parse_state`, which has checked every
+entry itself, and the engine, which derives each state from a valid one, use
+the private trusted path instead, and the engine splices the pairs an
+operation changed into the parent state's sorted tuples.  Pair maps, adjacency,
+rooted reachability and the grantee index are built lazily, once per state.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ModelError
+
+
+class cached_property:
+    """`functools.cached_property` without the lock it takes on every miss
+    before Python 3.12.
+
+    States are immutable, so two threads racing on a miss compute equal
+    values; the lock only cost every first use of a per-state index.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
 
 # Principals are bare non-empty strings; a dedicated wrapper type would buy
 # nothing over validating at the state boundary.
@@ -177,6 +206,20 @@ class AuthorizationState:
             if p not in self.principals:
                 raise ModelError(f"authorization endpoint {p!r} is not a principal")
 
+    @classmethod
+    def _trusted(cls, **fields: object) -> "AuthorizationState":
+        """Private trusted path: a state from parts that are already valid.
+
+        `fields` are the five dataclass fields plus the `positive_by_pair` and
+        `negative_by_pair` indexes.  Nothing is checked or sorted: the caller
+        guarantees everything `__post_init__` checks, that both tuples are
+        sorted by pair, and that the maps index exactly those tuples and are
+        never mutated again.
+        """
+        state = object.__new__(cls)
+        state.__dict__.update(fields)
+        return state
+
     # Derived indexes.  States are immutable, so caching per instance is safe;
     # nothing is ever reused across distinct states.
 
@@ -185,31 +228,41 @@ class AuthorizationState:
         return {auth.pair: auth for auth in self.positive}
 
     @cached_property
-    def negative_pairs(self) -> frozenset[tuple[Principal, Principal]]:
-        return frozenset(neg.pair for neg in self.negative)
-
-    @cached_property
     def negative_by_pair(self) -> Mapping[tuple[Principal, Principal], NegativeAuth]:
         return {neg.pair: neg for neg in self.negative}
 
     @cached_property
+    def negative_pairs(self) -> frozenset[tuple[Principal, Principal]]:
+        return frozenset(self.negative_by_pair)
+
+    @cached_property
     def chain_children(self) -> Mapping[Principal, tuple[Principal, ...]]:
         """TT successors per principal, negatives ignored (plain chain edges)."""
-        out: dict[Principal, list[Principal]] = {}
-        for auth in self.positive:
-            if auth.kind is PositiveKind.TT:
-                out.setdefault(auth.grantor, []).append(auth.grantee)
-        return {p: tuple(children) for p, children in out.items()}
+        return {p: tuple(cs) for p, cs in _tt_adjacency(self.positive, ()).items()}
 
     @cached_property
     def active_children(self) -> Mapping[Principal, tuple[Principal, ...]]:
         """TT successors per principal with FF-blocked pairs removed."""
-        blocked = self.negative_pairs
-        out: dict[Principal, list[Principal]] = {}
+        blocked = self.negative_by_pair
+        return {p: tuple(cs) for p, cs in _tt_adjacency(self.positive, blocked).items()}
+
+    @cached_property
+    def plain_reach(self) -> frozenset[Principal]:
+        """Principals with a rooted delegation chain, negatives ignored."""
+        return _bfs(self.chain_children, self.soa)
+
+    @cached_property
+    def active_reach(self) -> frozenset[Principal]:
+        """Principals with an active rooted delegation chain."""
+        return _bfs(self.active_children, self.soa)
+
+    @cached_property
+    def incoming(self) -> Mapping[Principal, tuple[PositiveAuth, ...]]:
+        """Positive authorizations per grantee, in pair order."""
+        out: dict[Principal, list[PositiveAuth]] = {}
         for auth in self.positive:
-            if auth.kind is PositiveKind.TT and auth.pair not in blocked:
-                out.setdefault(auth.grantor, []).append(auth.grantee)
-        return {p: tuple(children) for p, children in out.items()}
+            out.setdefault(auth.grantee, []).append(auth)
+        return {p: tuple(auths) for p, auths in out.items()}
 
     def replace_authorizations(
         self,
@@ -217,7 +270,8 @@ class AuthorizationState:
         negative: Iterable[NegativeAuth] | None = None,
         time: int | None = None,
     ) -> "AuthorizationState":
-        """Build a new state with the given edge sets; revalidates everything."""
+        """Build a new state with the given edge sets through the public,
+        validating constructor (the engine derives its states without it)."""
         return AuthorizationState(
             soa=self.soa,
             principals=self.principals,
@@ -227,8 +281,72 @@ class AuthorizationState:
         )
 
 
+def _tt_adjacency(
+    positive: Iterable[PositiveAuth], blocked: Mapping | tuple
+) -> dict[Principal, list[Principal]]:
+    """TT successors per grantor, skipping pairs in `blocked`."""
+    tt = PositiveKind.TT  # a local: enum member lookup is slow in a loop this hot
+    out: dict[Principal, list[Principal]] = {}
+    for auth in positive:
+        if auth.kind is tt and (auth.grantor, auth.grantee) not in blocked:
+            out.setdefault(auth.grantor, []).append(auth.grantee)
+    return out
+
+
 def _pair_key(auth: PositiveAuth | NegativeAuth) -> tuple[Principal, Principal]:
     return (auth.grantor, auth.grantee)
+
+
+# A change set at least this share of the entries is sorted afresh, which
+# then costs less than a binary search per changed pair.
+_RESORT_SHARE = 8
+
+
+def _splice(
+    entries: tuple, changes: Mapping[tuple[Principal, Principal], object], current: Mapping
+) -> tuple:
+    """The sorted tuple of `current`, the pair map that `entries` became.
+
+    `changes` maps each pair whose value changed to its new value, or None
+    when it was removed.  Few changes are spliced into `entries`: one binary
+    search per changed pair, resuming where the last one ended, and slice
+    copies of the unchanged runs in between.
+    """
+    if not changes:
+        return entries
+    if len(changes) * _RESORT_SHARE >= len(entries):
+        return tuple(map(current.__getitem__, sorted(current)))
+    out: list = []
+    start = 0
+    for pair in sorted(changes):
+        at = bisect_left(entries, pair, start, key=_pair_key)
+        out.extend(entries[start:at])
+        start = at
+        if at < len(entries) and _pair_key(entries[at]) == pair:
+            start += 1  # the pair's old entry is replaced or dropped
+        if changes[pair] is not None:
+            out.append(changes[pair])
+    out.extend(entries[start:])
+    return tuple(out)
+
+
+def _bfs(
+    adjacency: Mapping[Principal, Iterable[Principal]],
+    start: Principal,
+    avoid: Principal | None = None,
+) -> frozenset[Principal]:
+    """Worklist reachability from `start`, with `avoid` excised from the graph."""
+    if start == avoid:
+        return frozenset()
+    seen = {start}
+    queue = deque((start,))
+    while queue:
+        p = queue.popleft()
+        for q in adjacency.get(p, ()):
+            if q != avoid and q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return frozenset(seen)
 
 
 def new_state(soa: Principal, principals: Iterable[Principal]) -> AuthorizationState:

@@ -109,14 +109,12 @@ def _reachable(
         return frozenset()
     succ = _successors(tt_pairs)
     seen = {start}
-
-    def visit(p: Principal) -> None:
-        for q in succ.get(p, ()):
+    stack = [start]
+    while stack:
+        for q in succ.get(stack.pop(), ()):
             if q not in seen and q not in banned:
                 seen.add(q)
-                visit(q)
-
-    visit(start)
+                stack.append(q)
     return frozenset(seen)
 
 

@@ -22,6 +22,10 @@ Design notes that the code below relies on:
 * Every operation that removes edges finishes with a connectivity repair pass
   dropping authorizations whose grantor lost all plain rooted chains; the
   resulting state never carries structurally orphaned authorizations.
+* Every operation works on copies of the pre-state's pair maps that record
+  each key written or deleted.  The delta and the post-state are built from
+  those keys alone: the post-state takes the working maps as its indexes and
+  its sorted tuples are the pre-state's with the changed pairs spliced in.
 * Negative-scheme additions carry a label identifying the operation.  A
   reissue that has to displace existing unlabelled content on its pair (a kind
   upgrade, or clearing a standing FF so the conveyed right stays live) records
@@ -41,7 +45,6 @@ from .errors import (
     MissingAuthorizationError,
     NothingToUndoError,
     SelfOperationError,
-    UnknownPrincipalError,
 )
 from .model import (
     AuthorizationState,
@@ -61,34 +64,47 @@ from .model import (
     Timeline,
     TimelineStep,
     UndoOp,
+    _bfs,
+    _splice,
+    _tt_adjacency,
 )
-from .semantics import _bfs, reachable_active, reachable_active_avoiding, reachable_plain
+from .semantics import _require_principals, reachable_active_avoiding
 
 Pair = tuple[Principal, Principal]
 PosMap = MutableMapping[Pair, PositiveAuth]
 NegMap = MutableMapping[Pair, NegativeAuth]
 
 
-# In-flight reachability over the working maps; same worklist semantics as the
-# state-level queries in `semantics`.
+class _Working(dict):
+    """Working copy of one of a state's pair maps; remembers every key it wrote or deleted.
+
+    The engine mutates these only through item assignment, `del` and `pop`.
+    """
+
+    __slots__ = ("touched",)
+
+    def __init__(self, source: Mapping) -> None:
+        dict.__init__(self, source)
+        self.touched: set[Pair] = set()
+
+    def __setitem__(self, key: Pair, value) -> None:
+        self.touched.add(key)
+        dict.__setitem__(self, key, value)
+
+    def __delitem__(self, key: Pair) -> None:
+        self.touched.add(key)
+        dict.__delitem__(self, key)
+
+    def pop(self, key: Pair, *default):
+        self.touched.add(key)
+        return dict.pop(self, key, *default)
 
 
-def _plain_reach(pos: Mapping[Pair, PositiveAuth], soa: Principal) -> frozenset[Principal]:
-    adj: dict[Principal, list[Principal]] = {}
-    for (g, e), auth in pos.items():
-        if auth.kind is PositiveKind.TT:
-            adj.setdefault(g, []).append(e)
-    return _bfs({p: tuple(cs) for p, cs in adj.items()}, soa)
-
-
-def _active_reach(
-    pos: Mapping[Pair, PositiveAuth], neg: Mapping[Pair, NegativeAuth], soa: Principal
+def _reach(
+    soa: Principal, pos: Mapping[Pair, PositiveAuth], blocked: Mapping | tuple = ()
 ) -> frozenset[Principal]:
-    adj: dict[Principal, list[Principal]] = {}
-    for (g, e), auth in pos.items():
-        if auth.kind is PositiveKind.TT and (g, e) not in neg:
-            adj.setdefault(g, []).append(e)
-    return _bfs({p: tuple(cs) for p, cs in adj.items()}, soa)
+    """Rooted reachability over a working map's TT edges, skipping `blocked` pairs."""
+    return _bfs(_tt_adjacency(pos.values(), blocked), soa)
 
 
 def _independents(state: AuthorizationState, i: Principal) -> frozenset[Principal]:
@@ -102,37 +118,45 @@ def _repair(soa: Principal, pos: PosMap, neg: NegMap) -> None:
     One pass suffices: edges out of unreachable principals contribute nothing
     to reachability from the SOA, so removing them disconnects nobody else.
     """
-    reach = _plain_reach(pos, soa)
+    reach = _reach(soa, pos)
     for pair in [p for p in pos if p[0] not in reach]:
         del pos[pair]
     for pair in [p for p in neg if p[0] not in reach]:
         del neg[pair]
 
 
-def _diff(pre: AuthorizationState, post: AuthorizationState) -> RevocationDelta:
-    pre_pos, post_pos = set(pre.positive), set(post.positive)
-    pre_neg, post_neg = set(pre.negative), set(post.negative)
-    return RevocationDelta(
-        deleted_positive=frozenset(pre_pos - post_pos),
-        deleted_negative=frozenset(pre_neg - post_neg),
-        issued_positive=frozenset(post_pos - pre_pos),
-        issued_negative=frozenset(post_neg - pre_neg),
-    )
+def _changes(before: Mapping, after: _Working) -> tuple[dict, frozenset, frozenset]:
+    """Each touched pair whose value differs from `before`, mapped to its new
+    value or None; plus the values removed and the values added."""
+    changes, removed, added = {}, [], []
+    for pair in after.touched:
+        old, new = before.get(pair), after.get(pair)
+        if old is new or (old is not None and new is not None and old == new):
+            continue
+        changes[pair] = new
+        if old is not None:
+            removed.append(old)
+        if new is not None:
+            added.append(new)
+    return changes, frozenset(removed), frozenset(added)
 
 
 def _finish(
-    pre: AuthorizationState, pos: Mapping[Pair, PositiveAuth], neg: Mapping[Pair, NegativeAuth]
+    pre: AuthorizationState, pos: _Working, neg: _Working
 ) -> tuple[AuthorizationState, RevocationDelta]:
-    post = pre.replace_authorizations(
-        positive=pos.values(), negative=neg.values(), time=pre.time + 1
+    """The post-state and the delta, both from the keys the operation touched."""
+    pos_changes, deleted_pos, issued_pos = _changes(pre.positive_by_pair, pos)
+    neg_changes, deleted_neg, issued_neg = _changes(pre.negative_by_pair, neg)
+    post = AuthorizationState._trusted(
+        soa=pre.soa,
+        principals=pre.principals,
+        positive=_splice(pre.positive, pos_changes, pos),
+        negative=_splice(pre.negative, neg_changes, neg),
+        time=pre.time + 1,
+        positive_by_pair=pos,
+        negative_by_pair=neg,
     )
-    return post, _diff(pre, post)
-
-
-def _require_principals(state: AuthorizationState, *principals: Principal) -> None:
-    for p in principals:
-        if p not in state.principals:
-            raise UnknownPrincipalError(f"{p!r} is not a principal of this state")
+    return post, RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
 
 
 # Elementary operations.
@@ -153,16 +177,16 @@ def grant(
     _require_principals(state, grantor, grantee)
     if grantor == grantee:
         raise SelfOperationError(f"{grantor!r} cannot grant to itself")
-    if grantor not in reachable_active(state):
+    if grantor not in state.active_reach:
         raise InactiveGrantorError(f"{grantor!r} has no active rooted delegation chain")
     existing = state.positive_by_pair.get((grantor, grantee))
     if existing is not None and existing.kind is PositiveKind.TT and kind is PositiveKind.TF:
         raise DowngradeError(
             f"{grantor!r} -> {grantee!r} already delegates; downgrade to access-only refused"
         )
-    pos = dict(state.positive_by_pair)
+    pos = _Working(state.positive_by_pair)
     pos[(grantor, grantee)] = PositiveAuth(grantor, grantee, kind)
-    return _finish(state, pos, dict(state.negative_by_pair))
+    return _finish(state, pos, _Working(state.negative_by_pair))
 
 
 def issue_negative(
@@ -172,15 +196,15 @@ def issue_negative(
     _require_principals(state, grantor, grantee)
     if grantor == grantee:
         raise SelfOperationError(f"{grantor!r} cannot issue a negative against itself")
-    if grantor not in reachable_active(state):
+    if grantor not in state.active_reach:
         raise InactiveGrantorError(f"{grantor!r} has no active rooted delegation chain")
-    if (grantor, grantee) in state.negative_pairs:
+    if (grantor, grantee) in state.negative_by_pair:
         raise DuplicateNegativeError(
             f"negative authorization {grantor!r} -> {grantee!r} already present"
         )
-    neg = dict(state.negative_by_pair)
+    neg = _Working(state.negative_by_pair)
     neg[(grantor, grantee)] = NegativeAuth(grantor, grantee)
-    return _finish(state, dict(state.positive_by_pair), neg)
+    return _finish(state, _Working(state.positive_by_pair), neg)
 
 
 # Revocation schemes.
@@ -203,7 +227,7 @@ def apply_scheme(
         )
     if request.scheme.is_delete:
         return _apply_delete(state, request.scheme, i, j, config)
-    if (i, j) in state.negative_pairs:
+    if (i, j) in state.negative_by_pair:
         raise DuplicateNegativeError(
             f"negative authorization {i!r} -> {j!r} already present"
         )
@@ -217,8 +241,8 @@ def _apply_delete(
     j: Principal,
     config: EngineConfig,
 ) -> tuple[AuthorizationState, RevocationDelta]:
-    pos: PosMap = dict(state.positive_by_pair)
-    neg: NegMap = dict(state.negative_by_pair)
+    pos = _Working(state.positive_by_pair)
+    neg = _Working(state.negative_by_pair)
 
     del pos[(i, j)]
     if scheme is Scheme.SLD:
@@ -239,11 +263,11 @@ def _local_delete_tail(
     state: AuthorizationState, pos: PosMap, neg: NegMap, i: Principal, j: Principal
 ) -> None:
     soa = state.soa
-    active_pre = reachable_active(state)
-    blocked_pre = state.negative_pairs
+    active_pre = state.active_reach
+    blocked_pre = state.negative_by_pair
 
     # Structural loss of j decides whether its own grants disappear with it.
-    j_lost_plain = j in reachable_plain(state) and j not in _plain_reach(pos, soa)
+    j_lost_plain = j in state.plain_reach and j not in _reach(soa, pos)
     deleted_out_neg: list[NegativeAuth] = []
     if j_lost_plain:
         for pair in [p for p in pos if p[0] == j]:
@@ -253,7 +277,7 @@ def _local_delete_tail(
 
     # Re-root j's pre-state grants at i.  Activity is judged after all
     # deletions and before any reissue.
-    post_active = _active_reach(pos, neg, soa)
+    post_active = _reach(soa, pos, neg)
     for auth in state.positive:
         if auth.grantor != j or auth.grantee == i:
             continue
@@ -307,7 +331,7 @@ def _global_delete_cascade(
     deleted_into: set[Principal] = {j}
     while True:
         changed = False
-        reach = _plain_reach(pos, soa)
+        reach = _reach(soa, pos)
         for pair in [p for p in pos if p[0] not in reach]:
             del pos[pair]
             deleted_into.add(pair[1])
@@ -333,10 +357,10 @@ def _apply_negative(
     config: EngineConfig,
 ) -> tuple[AuthorizationState, RevocationDelta]:
     soa = state.soa
-    pos: PosMap = dict(state.positive_by_pair)
-    neg: NegMap = dict(state.negative_by_pair)
-    active_pre = reachable_active(state)
-    blocked_pre = state.negative_pairs
+    pos = _Working(state.positive_by_pair)
+    neg = _Working(state.negative_by_pair)
+    active_pre = state.active_reach
+    blocked_pre = state.negative_by_pair
     label = RevocationLabel(i, j, sequence=state.time)
     neg[(i, j)] = NegativeAuth(i, j, label)
 
@@ -350,7 +374,7 @@ def _apply_negative(
     if scheme.is_local:
         # Reissues are judged against the state with exactly this operation's
         # negatives added, before any reissue lands.
-        act = _active_reach(pos, neg, soa)
+        act = _reach(soa, pos, neg)
         if j in active_pre and j not in act:
             for auth in state.positive:
                 if (
@@ -411,10 +435,10 @@ def _strong_global_negative(
 ) -> None:
     soa = state.soa
     ind = _independents(state, i)
-    blocked_pre = state.negative_pairs
+    blocked_pre = state.negative_by_pair
     while True:
         changed = False
-        act = _active_reach(pos, neg, soa)
+        act = _reach(soa, pos, neg)
         targets: set[Principal] = set()
         for auth in state.positive:
             was_active = auth.pair not in blocked_pre and auth.grantor in active_pre
@@ -454,20 +478,24 @@ def undo_negative(
     def is_ours(lab: RevocationLabel | None) -> bool:
         return lab is not None and (lab.root_grantor, lab.root_grantee, lab.sequence) == key
 
-    pos: PosMap = {}
+    pos = _Working(state.positive_by_pair)
+    neg = _Working(state.negative_by_pair)
     restored: list[NegativeAuth] = []
     for auth in state.positive:
-        if not is_ours(auth.label):
-            pos[auth.pair] = auth
+        if auth.label is None or not is_ours(auth.label):
             continue
-        assert auth.label is not None
         if auth.label.restores_kind is not None:
             pos[auth.pair] = PositiveAuth(auth.grantor, auth.grantee, auth.label.restores_kind)
+        else:
+            del pos[auth.pair]
         if auth.label.restores_blocked:
             restored.append(NegativeAuth(auth.grantor, auth.grantee))
-    neg: NegMap = {n.pair: n for n in state.negative if not is_ours(n.label)}
+    for n in state.negative:
+        if is_ours(n.label):
+            del neg[n.pair]
     for n in restored:
-        neg.setdefault(n.pair, n)
+        if n.pair not in neg:
+            neg[n.pair] = n
     _repair(state.soa, pos, neg)
     return _finish(state, pos, neg)
 

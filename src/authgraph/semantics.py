@@ -6,48 +6,30 @@ pair carries an FF.  A positive authorization is active when its own pair is
 not blocked and its grantor holds an active chain.  Access follows either from
 an active chain or from an unblocked TF edge out of a principal with one.
 
-All queries run a fresh worklist reachability pass over the state's adjacency
-index; results are never cached across states.  Each pass is O(V+E), and one
-pass answers the query for every principal at once, which the revocation
-engine exploits.
+Rooted reachability, plain and active, is one worklist pass over the state's
+adjacency index, run at most once per state and kept with it (states are
+immutable); one pass answers the query for every principal at once, which the
+revocation engine exploits.  Access then needs only the grantee's incoming
+edges, and edge activity a set lookup.  Only independence, which excises a
+principal, runs a fresh pass per query.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import MissingAuthorizationError, UnknownPrincipalError
-from .model import AuthorizationState, PositiveKind, Principal
-
-
-def _bfs(
-    adjacency: Mapping[Principal, tuple[Principal, ...]],
-    start: Principal,
-    avoid: Principal | None = None,
-) -> frozenset[Principal]:
-    if start == avoid:
-        return frozenset()
-    seen = {start}
-    queue = deque((start,))
-    while queue:
-        p = queue.popleft()
-        for q in adjacency.get(p, ()):
-            if q != avoid and q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return frozenset(seen)
+from .model import AuthorizationState, PositiveKind, Principal, _bfs
 
 
 def reachable_plain(state: AuthorizationState) -> frozenset[Principal]:
     """Principals with a rooted delegation chain, negatives ignored."""
-    return _bfs(state.chain_children, state.soa)
+    return state.plain_reach
 
 
 def reachable_active(state: AuthorizationState) -> frozenset[Principal]:
     """Principals with an active rooted delegation chain."""
-    return _bfs(state.active_children, state.soa)
+    return state.active_reach
 
 
 def reachable_active_avoiding(
@@ -57,20 +39,21 @@ def reachable_active_avoiding(
     return _bfs(state.active_children, state.soa, avoid)
 
 
-def _require_principal(state: AuthorizationState, p: Principal) -> None:
-    if p not in state.principals:
-        raise UnknownPrincipalError(f"{p!r} is not a principal of this state")
+def _require_principals(state: AuthorizationState, *principals: Principal) -> None:
+    for p in principals:
+        if p not in state.principals:
+            raise UnknownPrincipalError(f"{p!r} is not a principal of this state")
 
 
 def rooted_chain_exists(state: AuthorizationState, p: Principal) -> bool:
     """True if a plain rooted delegation chain reaches p."""
-    _require_principal(state, p)
+    _require_principals(state, p)
     return p in reachable_plain(state)
 
 
 def active_chain_exists(state: AuthorizationState, p: Principal) -> bool:
     """True if an active rooted delegation chain reaches p."""
-    _require_principal(state, p)
+    _require_principals(state, p)
     return p in reachable_active(state)
 
 
@@ -81,20 +64,17 @@ def has_delegation_right(state: AuthorizationState, p: Principal) -> bool:
 
 def has_access_right(state: AuthorizationState, p: Principal) -> bool:
     """Active chain, or an unblocked TF edge from a principal with one."""
-    _require_principal(state, p)
-    active = reachable_active(state)
+    _require_principals(state, p)
+    active = state.active_reach
     if p in active:
         return True
-    blocked = state.negative_pairs
-    for auth in state.positive:
-        if (
-            auth.grantee == p
-            and auth.kind is PositiveKind.TF
-            and auth.grantor in active
-            and auth.pair not in blocked
-        ):
-            return True
-    return False
+    blocked = state.negative_by_pair
+    return any(
+        auth.kind is PositiveKind.TF
+        and auth.grantor in active
+        and (auth.grantor, p) not in blocked
+        for auth in state.incoming.get(p, ())
+    )
 
 
 def is_independent(state: AuthorizationState, j: Principal, i: Principal) -> bool:
@@ -104,8 +84,7 @@ def is_independent(state: AuthorizationState, j: Principal, i: Principal) -> boo
     principal is trivially dependent on itself (no chain ending at j can
     avoid j).
     """
-    _require_principal(state, j)
-    _require_principal(state, i)
+    _require_principals(state, j, i)
     if j == state.soa:
         return True
     return j in reachable_active_avoiding(state, i)
@@ -119,9 +98,7 @@ def is_auth_active(
         raise MissingAuthorizationError(
             f"no positive authorization from {grantor!r} to {grantee!r}"
         )
-    return (grantor, grantee) not in state.negative_pairs and grantor in reachable_active(
-        state
-    )
+    return (grantor, grantee) not in state.negative_by_pair and grantor in state.active_reach
 
 
 @dataclass(frozen=True)
@@ -145,7 +122,7 @@ def validate_connectivity(state: AuthorizationState) -> list[ConnectivityViolati
     Checked over plain chains deliberately: negatives suspend rights but do
     not excuse a structurally disconnected grantor.
     """
-    reach = reachable_plain(state)
+    reach = state.plain_reach
     violations = [
         ConnectivityViolation(auth.grantor, auth.grantee, auth.kind.value)
         for auth in state.positive

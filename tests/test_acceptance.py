@@ -16,9 +16,11 @@ import pytest
 
 from authgraph import (
     AuthGraphError,
+    AuthorizationState,
     DuplicateNegativeError,
     EngineConfig,
     GrantOp,
+    ModelError,
     NegativeOp,
     PositiveKind,
     RevocationRequest,
@@ -226,10 +228,12 @@ def scheme_sweep():
     """Apply every scheme to a random edge of many random states once.
 
     Returns per-criterion failure samples plus counters; criteria 6 and 7
-    both read from this single pass.
+    both read from this single pass, and so does the check that every
+    engine-built state passes the public constructor unchanged and comes with
+    a delta equal to the set difference of pre- and post-state.
     """
     rng = random.Random(0x6007)
-    locality, invariants = [], []
+    locality, invariants, rebuilds = [], [], []
     exercised = applications = 0
     while exercised < SWEEP_STATES:
         state = generators.random_state(rng, max_principals=6, max_ops=12)
@@ -247,6 +251,25 @@ def scheme_sweep():
             post, delta = apply_scheme(state, RevocationRequest(scheme, i, j))
             applications += 1
             where = f"{scheme.name}({i},{j}) on {_sketch(state)}"
+
+            if len(rebuilds) < 5:
+                try:
+                    rebuilt = AuthorizationState(
+                        post.soa, post.principals, post.positive, post.negative, post.time
+                    )
+                    if not states_equal(rebuilt, post):
+                        rebuilds.append(f"{where}: public rebuild differs from the engine's state")
+                except ModelError as exc:
+                    rebuilds.append(f"{where}: public constructor refused the engine's state: {exc}")
+                pre_pos, post_pos = set(state.positive), set(post.positive)
+                pre_neg, post_neg = set(state.negative), set(post.negative)
+                if (
+                    delta.deleted_positive != pre_pos - post_pos
+                    or delta.issued_positive != post_pos - pre_pos
+                    or delta.deleted_negative != pre_neg - post_neg
+                    or delta.issued_negative != post_neg - pre_neg
+                ):
+                    rebuilds.append(f"{where}: delta is not the set difference")
 
             if scheme.is_local and len(locality) < 5:
                 post_profile = generators.rights_profile(post)
@@ -323,6 +346,7 @@ def scheme_sweep():
     return {
         "locality": locality,
         "invariants": invariants,
+        "rebuilds": rebuilds,
         "exercised": exercised,
         "applications": applications,
     }
@@ -348,6 +372,11 @@ def test_criterion_07_weak_strong_global_invariants(scheme_sweep, capsys):
         ok,
         "; ".join(scheme_sweep["invariants"][:5]),
     )
+
+
+def test_engine_states_survive_the_public_constructor(scheme_sweep):
+    assert scheme_sweep["applications"] >= SWEEP_STATES
+    assert not scheme_sweep["rebuilds"], "; ".join(scheme_sweep["rebuilds"])
 
 
 def test_criterion_08_dual_engine_equivalence(capsys):

@@ -300,6 +300,13 @@ class TestFailureModes:
         assert main(["check", str(broken)]) == EXIT_PARSE
         assert "invalid document" in capsys.readouterr().err
 
+    def test_deeply_nested_input_is_a_parse_error(self, tmp_path, capsys):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["check", str(nested)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "internal error" not in err
+
     def test_unwritable_output(self, fixtures_dir, tmp_path, capsys):
         rc = main(
             [

@@ -232,6 +232,7 @@ class TestParseTrace:
             ),
             ('[{"op": "revoke", "from": "A", "to": "B", "scheme": "QQQ"}]', "unknown scheme 'QQQ'"),
             ('[{"op": "grant", "from": "A", "to": "B", "kind": "FF"}]', "kind"),
+            pytest.param("[" * 100_000, "nested too deeply", id="deep-nesting"),
         ],
     )
     def test_rejected_with_diagnostic(self, payload, message):

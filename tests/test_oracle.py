@@ -7,14 +7,18 @@ import random
 import pytest
 
 from authgraph import (
+    AuthorizationState,
     EngineConfig,
     EnumerationLimitError,
     InactiveGrantorError,
     MissingAuthorizationError,
     ModelError,
+    PositiveAuth,
+    PositiveKind,
     RevocationRequest,
     Scheme,
     UnknownPrincipalError,
+    apply_scheme,
     check_equivalence,
     compare_engines,
     enumerate_chains,
@@ -131,6 +135,23 @@ class TestCompareEngines:
 
     def test_shared_rejection_counts_as_agreement(self, empty_six):
         assert compare_engines(empty_six, RevocationRequest(Scheme.SLD, "A", "B")) is None
+
+    def test_agreement_on_a_3000_link_chain(self):
+        # deep enough that a recursive walk would exceed the interpreter's
+        # recursion limit
+        names = [f"p{k:04d}" for k in range(3001)]
+        state = AuthorizationState(
+            soa=names[0],
+            principals=frozenset(names),
+            positive=tuple(PositiveAuth(a, b, PositiveKind.TT) for a, b in zip(names, names[1:])),
+            negative=(),
+        )
+        expected_edges = {Scheme.WGD: 1, Scheme.SLD: 2999}
+        for scheme, edges in expected_edges.items():
+            request = RevocationRequest(scheme, names[1], names[2])
+            reference = fixpoint_apply_delete(state, request)
+            assert states_equal(reference, apply_scheme(state, request)[0])
+            assert len(reference.positive) == edges
 
     def test_agreement_when_a_reissue_downgrades_a_chain_slot(self):
         # the overwritten TT must stop counting toward reachability in the

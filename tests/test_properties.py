@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from authgraph import (
     AuthGraphError,
+    AuthorizationState,
     EngineConfig,
     GrantOp,
     NegativeOp,
@@ -110,6 +111,19 @@ def test_delta_is_an_exact_edge_accounting(program):
         assert rebuilt_pos == set(post.positive)
         assert rebuilt_neg == set(post.negative)
         assert not set(delta.deleted_positive) & set(delta.issued_positive)
+
+    interpret(program, check)
+
+
+@given(programs())
+def test_engine_states_pass_the_public_constructor(program):
+    def check(pre, op, delta, post):
+        rebuilt = AuthorizationState(
+            post.soa, post.principals, post.positive, post.negative, post.time
+        )
+        assert states_equal(rebuilt, post), f"{op} built a state its public rebuild changes"
+        assert dict(post.positive_by_pair) == rebuilt.positive_by_pair
+        assert dict(post.negative_by_pair) == rebuilt.negative_by_pair
 
     interpret(program, check)
 

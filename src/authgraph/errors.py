@@ -25,7 +25,7 @@ class PreconditionError(AuthGraphError):
 
 
 class SelfOperationError(PreconditionError):
-    """Grantor and grantee (or revoker and target) are the same principal."""
+    """Grantor and grantee are the same principal."""
 
 
 class InactiveGrantorError(PreconditionError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ParseError
+from .errors import ModelError, ParseError
 from .model import (
     AuthorizationState,
     GrantOp,
@@ -80,18 +80,11 @@ def _parse_label(doc: Any, where: str) -> RevocationLabel:
     )
 
 
-def _parse_endpoints(
-    doc: Any, where: str, principals: set[str], allowed: set[str]
-) -> tuple[str, str]:
+def _parse_endpoints(doc: Any, where: str, allowed: set[str]) -> tuple[str, str]:
     _expect(isinstance(doc, dict), f"{where}: entry must be an object")
     for key in doc:
         _expect(key in allowed, f"{where}: unknown member {key!r}")
-    grantor = _str_member(doc, "from", where)
-    grantee = _str_member(doc, "to", where)
-    for p in (grantor, grantee):
-        _expect(p in principals, f"{where}: unknown principal {p!r}")
-    _expect(grantor != grantee, f"{where}: self-authorization {grantor!r} -> {grantee!r}")
-    return grantor, grantee
+    return _str_member(doc, "from", where), _str_member(doc, "to", where)
 
 
 def _load(text: str) -> Any:
@@ -104,11 +97,12 @@ def _load(text: str) -> Any:
 
 
 def parse_state(text: str) -> AuthorizationState:
-    """Parse a state document, validating structure and well-formedness.
+    """Parse a state document and build it through the public constructor.
 
-    Every check the public `AuthorizationState` constructor makes is made
-    here, with the entry's location, so the state is built through the
-    trusted path without checking anything twice.
+    The checks made here are about the document: members, types and kind
+    names, duplicate names in `principals`, and `time`.  Whether the state is
+    well-formed is the constructor's decision; any `ModelError`, from it or
+    from an entry's value type, becomes a `ParseError` naming the entry.
     """
     doc = _load(text)
     _expect(isinstance(doc, dict), "state document must be an object")
@@ -126,11 +120,10 @@ def parse_state(text: str) -> AuthorizationState:
         and all(isinstance(p, str) for p in raw_principals),
         "state: member 'principals' must be a list of text names",
     )
-    principals = set(raw_principals)
+    principals = frozenset(raw_principals)
     _expect(
         len(principals) == len(raw_principals), "state: duplicate principal names"
     )
-    _expect(soa in principals, f"state: SOA {soa!r} missing from principals")
 
     _expect("time" in doc, "state: missing member 'time'")
     time = doc["time"]
@@ -139,54 +132,39 @@ def parse_state(text: str) -> AuthorizationState:
         "state: member 'time' must be a non-negative integer",
     )
 
-    positive: dict[tuple[str, str], PositiveAuth] = {}
+    positive: list[PositiveAuth] = []
     _expect("positive" in doc, "state: missing member 'positive'")
     _expect(isinstance(doc["positive"], list), "state: member 'positive' must be a list")
-    for index, entry in enumerate(doc["positive"]):
-        where = f"positive[{index}]"
-        grantor, grantee = _parse_endpoints(
-            entry, where, principals, {"from", "to", "kind", "label"}
-        )
-        raw_kind = _str_member(entry, "kind", where)
-        _expect(
-            raw_kind in PositiveKind.__members__,
-            f"{where}: member 'kind' must be \"TT\" or \"TF\"",
-        )
-        _expect(
-            (grantor, grantee) not in positive,
-            f"{where}: duplicate authorization {grantor!r} -> {grantee!r}",
-        )
-        label = _parse_label(entry["label"], where) if "label" in entry else None
-        positive[(grantor, grantee)] = PositiveAuth(
-            grantor, grantee, PositiveKind[raw_kind], label
-        )
+    try:
+        for index, entry in enumerate(doc["positive"]):
+            where = f"positive[{index}]"
+            grantor, grantee = _parse_endpoints(entry, where, {"from", "to", "kind", "label"})
+            raw_kind = _str_member(entry, "kind", where)
+            _expect(
+                raw_kind in PositiveKind.__members__,
+                f"{where}: member 'kind' must be \"TT\" or \"TF\"",
+            )
+            label = _parse_label(entry["label"], where) if "label" in entry else None
+            positive.append(PositiveAuth(grantor, grantee, PositiveKind[raw_kind], label))
+    except ModelError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
-    negative: dict[tuple[str, str], NegativeAuth] = {}
+    negative: list[NegativeAuth] = []
     _expect("negative" in doc, "state: missing member 'negative'")
     _expect(isinstance(doc["negative"], list), "state: member 'negative' must be a list")
-    for index, entry in enumerate(doc["negative"]):
-        where = f"negative[{index}]"
-        grantor, grantee = _parse_endpoints(
-            entry, where, principals, {"from", "to", "label"}
-        )
-        _expect(
-            (grantor, grantee) not in negative,
-            f"{where}: duplicate negative authorization {grantor!r} -> {grantee!r}",
-        )
-        label = _parse_label(entry["label"], where) if "label" in entry else None
-        negative[(grantor, grantee)] = NegativeAuth(grantor, grantee, label)
+    try:
+        for index, entry in enumerate(doc["negative"]):
+            where = f"negative[{index}]"
+            grantor, grantee = _parse_endpoints(entry, where, {"from", "to", "label"})
+            label = _parse_label(entry["label"], where) if "label" in entry else None
+            negative.append(NegativeAuth(grantor, grantee, label))
+    except ModelError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
-    _expect(soa != "", "state: SOA id must be non-empty")
-    _expect("" not in principals, "state: principal ids must be non-empty strings")
-    return AuthorizationState._trusted(
-        soa=soa,
-        principals=frozenset(principals),
-        positive=tuple(positive[pair] for pair in sorted(positive)),
-        negative=tuple(negative[pair] for pair in sorted(negative)),
-        time=time,
-        positive_by_pair=positive,
-        negative_by_pair=negative,
-    )
+    try:
+        return AuthorizationState(soa, principals, tuple(positive), tuple(negative), time)
+    except ModelError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # Serialization.

@@ -14,12 +14,14 @@ Positive and negative authorizations are stored as tuples sorted by
 canonical forms.  The state time is a step counter; it is carried through
 serialization but deliberately ignored by `states_equal`.
 
-Validation happens once, at the trust boundary: the public constructor checks
-and sorts everything it is given.  `parse_state`, which has checked every
-entry itself, and the engine, which derives each state from a valid one, use
-the private trusted path instead, and the engine splices the pairs an
-operation changed into the parent state's sorted tuples.  Pair maps, adjacency,
-rooted reachability and the grantee index are built lazily, once per state.
+What a well-formed state is gets decided in one place, the public
+constructor: it checks everything it is given, names the offending entry by
+its position (`positive[3]: unknown principal 'Z'`), and sorts through the
+pair maps it keeps as indexes.  `parse_state` checks only the document's
+shape and defers to it.  The engine, which derives each state from a valid
+one, uses the private trusted path instead and splices the pairs an operation
+changed into the parent state's sorted tuples.  Adjacency, rooted
+reachability and the grantee index are built lazily, once per state.
 """
 
 from __future__ import annotations
@@ -85,17 +87,11 @@ class Scheme(Enum):
     SLN = "SLN"
     SGN = "SGN"
 
-    @property
-    def is_local(self) -> bool:
-        return self in (Scheme.WLD, Scheme.SLD, Scheme.WLN, Scheme.SLN)
-
-    @property
-    def is_strong(self) -> bool:
-        return self in (Scheme.SLD, Scheme.SGD, Scheme.SLN, Scheme.SGN)
-
-    @property
-    def is_delete(self) -> bool:
-        return self in (Scheme.WLD, Scheme.WGD, Scheme.SLD, Scheme.SGD)
+    def __init__(self, letters: str) -> None:
+        # One flag per letter, read once: the engine asks on every application.
+        self.is_strong = letters[0] == "S"
+        self.is_local = letters[1] == "L"
+        self.is_delete = letters[2] == "D"
 
 
 @dataclass(frozen=True)
@@ -178,37 +174,27 @@ class AuthorizationState:
 
     def __post_init__(self) -> None:
         if not self.soa:
-            raise ModelError("SOA id must be non-empty")
-        if self.soa not in self.principals:
-            raise ModelError(f"SOA {self.soa!r} is not among the principals")
+            raise ModelError("state: SOA id must be non-empty")
         for p in self.principals:
             if not isinstance(p, str) or not p:
-                raise ModelError("principal ids must be non-empty strings")
-        seen_pos: set[tuple[Principal, Principal]] = set()
-        for auth in self.positive:
-            self._check_endpoints(auth.grantor, auth.grantee)
-            if auth.pair in seen_pos:
-                raise ModelError(f"duplicate positive authorization on {auth.pair}")
-            seen_pos.add(auth.pair)
-        seen_neg: set[tuple[Principal, Principal]] = set()
-        for neg in self.negative:
-            self._check_endpoints(neg.grantor, neg.grantee)
-            if neg.pair in seen_neg:
-                raise ModelError(f"duplicate negative authorization on {neg.pair}")
-            seen_neg.add(neg.pair)
+                raise ModelError("state: principal ids must be non-empty strings")
+        if self.soa not in self.principals:
+            raise ModelError(f"state: SOA {self.soa!r} missing from principals")
         if self.time < 0:
             raise ModelError("state time must be a natural number")
-        object.__setattr__(self, "positive", tuple(sorted(self.positive, key=_pair_key)))
-        object.__setattr__(self, "negative", tuple(sorted(self.negative, key=_pair_key)))
-
-    def _check_endpoints(self, grantor: Principal, grantee: Principal) -> None:
-        for p in (grantor, grantee):
-            if p not in self.principals:
-                raise ModelError(f"authorization endpoint {p!r} is not a principal")
+        positive = _pair_map("positive", "authorization", self.positive, self.principals)
+        negative = _pair_map("negative", "negative authorization", self.negative, self.principals)
+        self.__dict__.update(
+            positive=tuple(map(positive.__getitem__, sorted(positive))),
+            negative=tuple(map(negative.__getitem__, sorted(negative))),
+            positive_by_pair=positive,
+            negative_by_pair=negative,
+        )
 
     @classmethod
     def _trusted(cls, **fields: object) -> "AuthorizationState":
-        """Private trusted path: a state from parts that are already valid.
+        """Private trusted path for the engine: a state from parts that are
+        already valid.
 
         `fields` are the five dataclass fields plus the `positive_by_pair` and
         `negative_by_pair` indexes.  Nothing is checked or sorted: the caller
@@ -293,6 +279,25 @@ def _tt_adjacency(
     return out
 
 
+def _pair_map(
+    field: str, noun: str, entries: Iterable[PositiveAuth | NegativeAuth], principals: frozenset
+) -> dict[tuple[Principal, Principal], PositiveAuth | NegativeAuth]:
+    """`entries` by pair; each endpoint must be a principal and each pair unique.
+
+    A fault names the entry by its position in `entries`.
+    """
+    by_pair: dict = {}
+    for index, entry in enumerate(entries):
+        pair = grantor, grantee = entry.grantor, entry.grantee
+        if grantor not in principals or grantee not in principals:
+            unknown = grantor if grantor not in principals else grantee
+            raise ModelError(f"{field}[{index}]: unknown principal {unknown!r}")
+        if pair in by_pair:
+            raise ModelError(f"{field}[{index}]: duplicate {noun} {grantor!r} -> {grantee!r}")
+        by_pair[pair] = entry
+    return by_pair
+
+
 def _pair_key(auth: PositiveAuth | NegativeAuth) -> tuple[Principal, Principal]:
     return (auth.grantor, auth.grantee)
 
@@ -351,10 +356,7 @@ def _bfs(
 
 def new_state(soa: Principal, principals: Iterable[Principal]) -> AuthorizationState:
     """Fresh state at time 0 with no authorizations."""
-    members = frozenset(principals)
-    if soa not in members:
-        raise ModelError(f"SOA {soa!r} must be listed among the principals")
-    return AuthorizationState(soa=soa, principals=members, positive=(), negative=())
+    return AuthorizationState(soa=soa, principals=frozenset(principals), positive=(), negative=())
 
 
 def states_equal(a: AuthorizationState, b: AuthorizationState) -> bool:

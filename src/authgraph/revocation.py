@@ -112,17 +112,20 @@ def _independents(state: AuthorizationState, i: Principal) -> frozenset[Principa
     return reachable_active_avoiding(state, i) | {state.soa}
 
 
-def _repair(soa: Principal, pos: PosMap, neg: NegMap) -> None:
-    """Drop authorizations whose grantor has no plain rooted chain left.
+def _repair(soa: Principal, pos: PosMap, neg: NegMap) -> set[Principal]:
+    """Drop authorizations whose grantor has no plain rooted chain left, and
+    return the grantees of the positive ones dropped.
 
     One pass suffices: edges out of unreachable principals contribute nothing
     to reachability from the SOA, so removing them disconnects nobody else.
     """
     reach = _reach(soa, pos)
-    for pair in [p for p in pos if p[0] not in reach]:
+    dropped = [p for p in pos if p[0] not in reach]
+    for pair in dropped:
         del pos[pair]
     for pair in [p for p in neg if p[0] not in reach]:
         del neg[pair]
+    return {grantee for _, grantee in dropped}
 
 
 def _changes(before: Mapping, after: _Working) -> tuple[dict, frozenset, frozenset]:
@@ -219,8 +222,6 @@ def apply_scheme(
     config = config or EngineConfig()
     i, j = request.revoker, request.target
     _require_principals(state, i, j)
-    if i == j:
-        raise SelfOperationError("revoker and target must differ")
     if (i, j) not in state.positive_by_pair:
         raise MissingAuthorizationError(
             f"no positive authorization from {i!r} to {j!r} to revoke"
@@ -252,10 +253,10 @@ def _apply_delete(
 
     if scheme.is_local:
         _local_delete_tail(state, pos, neg, i, j)
+    if scheme is Scheme.SGD:
+        _strong_global_delete(state, pos, neg, i, j, config)
     else:
-        _global_delete_cascade(state, pos, neg, i, j, scheme, config)
-
-    _repair(state.soa, pos, neg)
+        _repair(state.soa, pos, neg)
     return _finish(state, pos, neg)
 
 
@@ -316,37 +317,28 @@ def _merge_live_reissue(
         pos[(i, k)] = PositiveAuth(i, k, kind)
 
 
-def _global_delete_cascade(
+def _strong_global_delete(
     state: AuthorizationState,
     pos: PosMap,
     neg: NegMap,
     i: Principal,
     j: Principal,
-    scheme: Scheme,
     config: EngineConfig,
 ) -> None:
-    soa = state.soa
-    # WGD never consults independence; only SGD overrides other grantors.
-    ind = _independents(state, i) if scheme is Scheme.SGD else frozenset()
+    """SGD's cascade: repair, then delete the grants into every principal the
+    cascade deleted into from grantors not independent of i, until that
+    dominance rule deletes nothing."""
+    ind = _independents(state, i)
     deleted_into: set[Principal] = {j}
     while True:
-        changed = False
-        reach = _reach(soa, pos)
-        for pair in [p for p in pos if p[0] not in reach]:
+        deleted_into |= _repair(state.soa, pos, neg)
+        targets = deleted_into if config.sgd_descendant_dominance else {j}
+        dominated = [p for p in pos if p[1] in targets and p[0] not in ind]
+        if not dominated:
+            return
+        for pair in dominated:
             del pos[pair]
             deleted_into.add(pair[1])
-            changed = True
-        for pair in [p for p in neg if p[0] not in reach]:
-            del neg[pair]
-            changed = True
-        if scheme is Scheme.SGD:
-            targets = deleted_into if config.sgd_descendant_dominance else {j}
-            for pair in [p for p in pos if p[1] in targets and p[0] not in ind]:
-                del pos[pair]
-                deleted_into.add(pair[1])
-                changed = True
-        if not changed:
-            return
 
 
 def _apply_negative(

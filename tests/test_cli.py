@@ -307,6 +307,21 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "internal error" not in err
 
+    def test_malformed_label_is_a_parse_error(self, tmp_path, capsys):
+        doc = {
+            "soa": "A",
+            "principals": ["A", "B"],
+            "positive": [
+                {"from": "A", "to": "B", "kind": "TT", "label": {"from": "", "to": "B", "seq": 0}}
+            ],
+            "negative": [],
+            "time": 1,
+        }
+        bad = tmp_path / "bad_label.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(bad)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: positive[0]: label")
+
     def test_unwritable_output(self, fixtures_dir, tmp_path, capsys):
         rc = main(
             [

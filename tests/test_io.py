@@ -178,6 +178,23 @@ class TestParseStateErrors:
                 ),
                 "was_kind",
             ),
+            (
+                _mutant(
+                    lambda d: d["positive"].__setitem__(
+                        0,
+                        {"from": "A", "to": "B", "kind": "TT", "label": {"from": "", "to": "B", "seq": 0}},
+                    )
+                ),
+                "positive[0]: label root principals must be non-empty",
+            ),
+            (
+                _mutant(
+                    lambda d: d["negative"].append(
+                        {"from": "A", "to": "B", "label": {"from": "", "to": "B", "seq": 0}}
+                    )
+                ),
+                "negative[0]: label root principals must be non-empty",
+            ),
         ],
     )
     def test_rejected_with_diagnostic(self, payload, message):

@@ -55,11 +55,11 @@ def test_kind_strength_ordering():
 
 class TestStateValidation:
     def test_soa_must_be_principal(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="SOA 'Z' missing from principals"):
             AuthorizationState(soa="Z", principals=frozenset({"A"}), positive=(), negative=())
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=r"^positive\[0\]: unknown principal 'Z'$"):
             AuthorizationState(
                 soa="A",
                 principals=frozenset({"A", "B"}),
@@ -78,7 +78,7 @@ class TestStateValidation:
             PositiveAuth("A", "B", PositiveKind.TT),
             PositiveAuth("A", "B", PositiveKind.TF),
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=r"^positive\[1\]: duplicate"):
             AuthorizationState(
                 soa="A", principals=frozenset({"A", "B"}), positive=dup, negative=()
             )

@@ -45,7 +45,14 @@ from .model import (
     states_equal,
 )
 from .oracle import check_equivalence, compare_engines, enumerate_chains, fixpoint_apply_delete
-from .revocation import apply_operation, apply_scheme, grant, issue_negative, undo_negative
+from .revocation import (
+    apply_operation,
+    apply_scheme,
+    apply_step,
+    grant,
+    issue_negative,
+    undo_negative,
+)
 from .semantics import (
     ConnectivityViolation,
     active_chain_exists,
@@ -93,6 +100,7 @@ __all__ = [
     "active_chain_exists",
     "apply_operation",
     "apply_scheme",
+    "apply_step",
     "check_equivalence",
     "compare_engines",
     "enumerate_chains",

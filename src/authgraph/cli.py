@@ -27,10 +27,9 @@ from .model import (
     RevocationDelta,
     RevokeOp,
     Scheme,
-    Timeline,
     UndoOp,
 )
-from .revocation import apply_operation
+from .revocation import apply_step
 from .semantics import has_access_right, has_delegation_right, validate_connectivity
 
 EXIT_OK = 0
@@ -110,6 +109,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from exc
 
 
 def _write_output(text: str, dest: str | None) -> None:
@@ -190,12 +191,11 @@ def _run(args: argparse.Namespace) -> int:
         operations = parse_trace(_read_text(args.trace))
     else:
         operations = (_operation(args),)
-    timeline = Timeline(initial=state)
     for index, op in enumerate(operations):
-        timeline = apply_operation(timeline, op, config)
+        state, delta = apply_step(state, op, config)
         step = f"step {index + 1}: " if args.command == "trace" else ""
-        print(f"{step}{_describe(op)}: {_summarize(timeline.steps[-1].delta)}", file=sys.stderr)
-    _write_output(serialize_state(timeline.current), args.output)
+        print(f"{step}{_describe(op)}: {_summarize(delta)}", file=sys.stderr)
+    _write_output(serialize_state(state), args.output)
     return EXIT_OK
 
 

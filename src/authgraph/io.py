@@ -38,10 +38,20 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _is_utf8(text: str) -> bool:
+    """False for text UTF-8 cannot encode: a lone surrogate from a `\\ud800` escape."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _str_member(obj: dict[str, Any], key: str, where: str) -> str:
     _expect(key in obj, f"{where}: missing member {key!r}")
     value = obj[key]
     _expect(isinstance(value, str), f"{where}: member {key!r} must be text")
+    _expect(_is_utf8(value), f"{where}: member {key!r} is not UTF-8 text")
     return value
 
 
@@ -90,7 +100,7 @@ def _parse_endpoints(doc: Any, where: str, allowed: set[str]) -> tuple[str, str]
 def _load(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"invalid document: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid document: nested too deeply") from exc
@@ -120,6 +130,8 @@ def parse_state(text: str) -> AuthorizationState:
         and all(isinstance(p, str) for p in raw_principals),
         "state: member 'principals' must be a list of text names",
     )
+    for index, name in enumerate(raw_principals):
+        _expect(_is_utf8(name), f"principals[{index}]: name is not UTF-8 text")
     principals = frozenset(raw_principals)
     _expect(
         len(principals) == len(raw_principals), "state: duplicate principal names"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -171,6 +171,13 @@ class AuthorizationState:
     positive: tuple[PositiveAuth, ...]
     negative: tuple[NegativeAuth, ...]
     time: int = 0
+    # `positive` and `negative` by pair; set by `__post_init__` and `_trusted`.
+    positive_by_pair: Mapping[tuple[Principal, Principal], PositiveAuth] = field(
+        init=False, repr=False, compare=False
+    )
+    negative_by_pair: Mapping[tuple[Principal, Principal], NegativeAuth] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.soa:
@@ -208,14 +215,6 @@ class AuthorizationState:
 
     # Derived indexes.  States are immutable, so caching per instance is safe;
     # nothing is ever reused across distinct states.
-
-    @cached_property
-    def positive_by_pair(self) -> Mapping[tuple[Principal, Principal], PositiveAuth]:
-        return {auth.pair: auth for auth in self.positive}
-
-    @cached_property
-    def negative_by_pair(self) -> Mapping[tuple[Principal, Principal], NegativeAuth]:
-        return {neg.pair: neg for neg in self.negative}
 
     @cached_property
     def negative_pairs(self) -> frozenset[tuple[Principal, Principal]]:

@@ -1,12 +1,22 @@
 """State-transition engine: grants, negatives, the eight revocation schemes, undo.
 
-Scheme names combine three axes.  Propagation: local schemes touch only
-authorizations incident to the target j (re-rooting j's grants at the revoker
-i), global schemes cascade to everything that depended on the revoked edge.
-Dominance: strong schemes also override grants to j issued by principals whose
-every active chain runs through the revoker; weak schemes leave other
-grantors' edges alone.  Resilience: delete schemes erase edges permanently,
-negative schemes add blocking FF marks that a later undo can lift.
+Scheme names combine three independent axes.  Each axis is one function
+below, and `apply_scheme` composes them into all eight schemes:
+
+* Resilience, `_kill`: delete schemes erase a grant permanently; negative
+  schemes block it with an FF carrying the operation's label, which a later
+  undo can lift.  The label (None for a delete scheme) is the only thing that
+  selects this axis.
+* Dominance, `_dominate`: strong schemes also kill the grants into a target
+  issued by principals whose every active chain runs through the revoker i;
+  weak schemes leave other grantors' edges alone.  The grants into a target
+  come from the pre-state's grantee index.
+* Propagation: local schemes (`_reroot`) touch only authorizations incident
+  to the target j, re-rooting j's grants at i.  Global schemes cascade to
+  everything that depended on the revoked edge: a blocked edge inactivates
+  its dependants by itself, a deleted one through the repair pass below, and
+  `_strong_global` repeats dominance at each principal the cascade killed a
+  grant into.
 
 Design notes that the code below relies on:
 
@@ -15,11 +25,11 @@ Design notes that the code below relies on:
   disconnection propagates it; principals that are merely blocked by negatives
   keep their (inactive) grants.  On negative-free states this coincides with
   the active-chain reading.
-* Local delete schemes mirror every pre-state-active outgoing grant of j that
-  the operation killed (deleted or inactivated) as a grant from i, so the
-  rights of j's grantees survive.  A deleted grant of j that was already
-  inactive is re-rooted together with a pairing FF so it stays dead.
-* Every operation that removes edges finishes with a connectivity repair pass
+* Local schemes mirror every pre-state-active outgoing grant of j as a grant
+  from i once j has no active chain left, so the rights of j's grantees
+  survive.  A deleted grant of j that was already inactive is re-rooted
+  together with a pairing FF so it stays dead.
+* Every operation that deletes edges finishes with a connectivity repair pass
   dropping authorizations whose grantor lost all plain rooted chains; the
   resulting state never carries structurally orphaned authorizations.
 * Every operation works on copies of the pre-state's pair maps that record
@@ -36,7 +46,7 @@ Design notes that the code below relies on:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping, MutableMapping
+from typing import Iterable, Mapping, MutableMapping
 
 from .errors import (
     DowngradeError,
@@ -60,7 +70,6 @@ from .model import (
     RevocationLabel,
     RevocationRequest,
     RevokeOp,
-    Scheme,
     Timeline,
     TimelineStep,
     UndoOp,
@@ -220,230 +229,183 @@ def apply_scheme(
 ) -> tuple[AuthorizationState, RevocationDelta]:
     """Apply one revocation scheme; the pre-state is returned untouched on error."""
     config = config or EngineConfig()
-    i, j = request.revoker, request.target
+    scheme, i, j = request.scheme, request.revoker, request.target
     _require_principals(state, i, j)
     if (i, j) not in state.positive_by_pair:
         raise MissingAuthorizationError(
             f"no positive authorization from {i!r} to {j!r} to revoke"
         )
-    if request.scheme.is_delete:
-        return _apply_delete(state, request.scheme, i, j, config)
-    if (i, j) in state.negative_by_pair:
-        raise DuplicateNegativeError(
-            f"negative authorization {i!r} -> {j!r} already present"
-        )
-    return _apply_negative(state, request.scheme, i, j, config)
-
-
-def _apply_delete(
-    state: AuthorizationState,
-    scheme: Scheme,
-    i: Principal,
-    j: Principal,
-    config: EngineConfig,
-) -> tuple[AuthorizationState, RevocationDelta]:
+    label = None
+    if not scheme.is_delete:
+        if (i, j) in state.negative_by_pair:
+            raise DuplicateNegativeError(
+                f"negative authorization {i!r} -> {j!r} already present"
+            )
+        label = RevocationLabel(i, j, sequence=state.time)
     pos = _Working(state.positive_by_pair)
     neg = _Working(state.negative_by_pair)
 
-    del pos[(i, j)]
-    if scheme is Scheme.SLD:
-        ind = _independents(state, i)
-        for pair in [p for p in pos if p[1] == j and p[0] not in ind]:
-            del pos[pair]
-
+    _kill(pos, neg, (i, j), label)
     if scheme.is_local:
-        _local_delete_tail(state, pos, neg, i, j)
-    if scheme is Scheme.SGD:
-        _strong_global_delete(state, pos, neg, i, j, config)
-    else:
+        if scheme.is_strong:
+            _dominate(state, pos, neg, _independents(state, i), (j,), label)
+        _reroot(state, pos, neg, i, j, label)
+    if scheme.is_strong and not scheme.is_local:
+        _strong_global(state, pos, neg, _independents(state, i), j, label, config)
+    elif label is None:  # SGD repairs in every round of its cascade
         _repair(state.soa, pos, neg)
     return _finish(state, pos, neg)
 
 
-def _local_delete_tail(
-    state: AuthorizationState, pos: PosMap, neg: NegMap, i: Principal, j: Principal
-) -> None:
-    soa = state.soa
-    active_pre = state.active_reach
-    blocked_pre = state.negative_by_pair
+def _kill(pos: PosMap, neg: NegMap, pair: Pair, label: RevocationLabel | None) -> bool:
+    """Resilience: delete the grant on `pair` (no label), or block it with the
+    label unless it is already blocked.  True if the grant was killed."""
+    if label is None:
+        del pos[pair]
+    elif pair in neg:
+        return False
+    else:
+        neg[pair] = NegativeAuth(pair[0], pair[1], label)
+    return True
 
-    # Structural loss of j decides whether its own grants disappear with it.
-    j_lost_plain = j in state.plain_reach and j not in _reach(soa, pos)
-    deleted_out_neg: list[NegativeAuth] = []
-    if j_lost_plain:
+
+def _dominate(
+    state: AuthorizationState,
+    pos: PosMap,
+    neg: NegMap,
+    ind: frozenset[Principal],
+    targets: Iterable[Principal],
+    label: RevocationLabel | None,
+) -> bool:
+    """Strong dominance: kill every grant into a target still standing whose
+    grantor is not independent of the revoker.  True if anything was killed."""
+    killed = False
+    for k in targets:
+        for auth in state.incoming.get(k, ()):
+            if auth.grantor not in ind and auth.pair in pos:
+                killed |= _kill(pos, neg, auth.pair, label)
+    return killed
+
+
+def _reroot(
+    state: AuthorizationState,
+    pos: PosMap,
+    neg: NegMap,
+    i: Principal,
+    j: Principal,
+    label: RevocationLabel | None,
+) -> None:
+    """Local propagation: once j has no active chain left, re-root j's
+    pre-state grants at i.
+
+    Activity is judged after all kills and before any reissue.
+    """
+    soa = state.soa
+    dropped_neg: list[NegativeAuth] = []
+    if (i, j) not in pos and j in state.plain_reach and j not in _reach(soa, pos):
+        # Structural loss of j: its own grants disappear with it.
         for pair in [p for p in pos if p[0] == j]:
             del pos[pair]
         for pair in [p for p in neg if p[0] == j]:
-            deleted_out_neg.append(neg.pop(pair))
+            dropped_neg.append(neg.pop(pair))
+    elif j in _reach(soa, pos, neg):
+        return
 
-    # Re-root j's pre-state grants at i.  Activity is judged after all
-    # deletions and before any reissue.
-    post_active = _reach(soa, pos, neg)
+    j_was_active = j in state.active_reach
+    blocked_pre = state.negative_by_pair
     for auth in state.positive:
         if auth.grantor != j or auth.grantee == i:
             continue
         k = auth.grantee
-        was_active = j in active_pre and auth.pair not in blocked_pre
-        deleted = auth.pair not in pos
-        if was_active and (deleted or j not in post_active):
-            _merge_live_reissue(pos, neg, i, k, auth.kind)
-        elif deleted and not was_active and (i, k) not in pos:
+        if j_was_active and auth.pair not in blocked_pre:
+            _merge_reissue(pos, neg, i, k, auth.kind, label)
+        elif auth.pair not in pos and (i, k) not in pos:
             # keep the dead grant in existence, and keep it dead
             pos[(i, k)] = PositiveAuth(i, k, auth.kind)
             if (i, k) not in neg:
                 neg[(i, k)] = NegativeAuth(i, k)
-    for old in deleted_out_neg:
+    for old in dropped_neg:
         k = old.grantee
         if k != i and (i, k) not in pos and (i, k) not in neg:
             neg[(i, k)] = NegativeAuth(i, k)
 
 
-def _merge_live_reissue(
-    pos: PosMap, neg: NegMap, i: Principal, k: Principal, kind: PositiveKind
-) -> None:
-    """Merge a live reissue into (i, k); delete-scheme reissues are unlabelled.
-
-    Unblocked slot: strongest kind wins (an upgrade drops any label the slot
-    carried).  Blocked slot: the FF is cleared so the re-rooted right is
-    conveyed, and the slot takes exactly the reissued kind; keeping a stronger
-    stored kind would unblock a right k never held through j.
-    """
-    if (i, k) in neg:
-        del neg[(i, k)]
-        pos[(i, k)] = PositiveAuth(i, k, kind)
-        return
-    existing = pos.get((i, k))
-    if existing is None or kind.strength > existing.kind.strength:
-        pos[(i, k)] = PositiveAuth(i, k, kind)
-
-
-def _strong_global_delete(
-    state: AuthorizationState,
-    pos: PosMap,
-    neg: NegMap,
-    i: Principal,
-    j: Principal,
-    config: EngineConfig,
-) -> None:
-    """SGD's cascade: repair, then delete the grants into every principal the
-    cascade deleted into from grantors not independent of i, until that
-    dominance rule deletes nothing."""
-    ind = _independents(state, i)
-    deleted_into: set[Principal] = {j}
-    while True:
-        deleted_into |= _repair(state.soa, pos, neg)
-        targets = deleted_into if config.sgd_descendant_dominance else {j}
-        dominated = [p for p in pos if p[1] in targets and p[0] not in ind]
-        if not dominated:
-            return
-        for pair in dominated:
-            del pos[pair]
-            deleted_into.add(pair[1])
-
-
-def _apply_negative(
-    state: AuthorizationState,
-    scheme: Scheme,
-    i: Principal,
-    j: Principal,
-    config: EngineConfig,
-) -> tuple[AuthorizationState, RevocationDelta]:
-    soa = state.soa
-    pos = _Working(state.positive_by_pair)
-    neg = _Working(state.negative_by_pair)
-    active_pre = state.active_reach
-    blocked_pre = state.negative_by_pair
-    label = RevocationLabel(i, j, sequence=state.time)
-    neg[(i, j)] = NegativeAuth(i, j, label)
-
-    if scheme is Scheme.SLN:
-        ind = _independents(state, i)
-        for pair in [p for p in pos if p[1] == j and p[0] not in ind and p not in neg]:
-            neg[pair] = NegativeAuth(pair[0], pair[1], label)
-    elif scheme is Scheme.SGN:
-        _strong_global_negative(state, pos, neg, i, config, label, active_pre, j)
-
-    if scheme.is_local:
-        # Reissues are judged against the state with exactly this operation's
-        # negatives added, before any reissue lands.
-        act = _reach(soa, pos, neg)
-        if j in active_pre and j not in act:
-            for auth in state.positive:
-                if (
-                    auth.grantor == j
-                    and auth.grantee != i
-                    and auth.pair not in blocked_pre
-                ):
-                    _merge_labelled_reissue(pos, neg, i, auth.grantee, auth.kind, label)
-    return _finish(state, pos, neg)
-
-
-def _merge_labelled_reissue(
+def _merge_reissue(
     pos: PosMap,
     neg: NegMap,
     i: Principal,
     k: Principal,
     kind: PositiveKind,
-    label: RevocationLabel,
+    label: RevocationLabel | None,
 ) -> None:
-    """Merge an undoable reissue into (i, k), recording displaced content.
+    """Merge a live reissue of `kind` into (i, k).
 
-    A fresh slot takes the label as-is.  A blocked slot is unblocked and takes
-    exactly the reissued kind (a stronger stored kind was conveying nothing
-    and must not leak through); an unblocked weaker slot is upgraded.  Either
-    way the label remembers what was displaced so undo can put it back.  An
-    unblocked slot already covering the reissued kind stays untouched.
+    A blocked slot is unblocked and takes exactly the reissued kind: a
+    stronger stored kind was conveying nothing and must not leak through.  An
+    unblocked slot is upgraded if weaker (dropping any label it carried) and
+    left alone if it already covers the kind.  A labelled reissue remembers
+    the content it displaced, so undo can put it back instead of vacating the
+    slot.
     """
     pair = (i, k)
     existing = pos.get(pair)
     if pair in neg:
         del neg[pair]
-        pos[pair] = PositiveAuth(
-            i,
-            k,
-            kind,
-            replace(
+        if label is not None:
+            label = replace(
                 label,
                 restores_kind=None if existing is None else existing.kind,
                 restores_blocked=True,
-            ),
-        )
-        return
-    if existing is None:
-        pos[pair] = PositiveAuth(i, k, kind, label)
-    elif kind.strength > existing.kind.strength:
-        pos[pair] = PositiveAuth(i, k, kind, replace(label, restores_kind=existing.kind))
+            )
+    elif existing is not None:
+        if existing.kind.covers(kind):
+            return
+        if label is not None:
+            label = replace(label, restores_kind=existing.kind)
+    pos[pair] = PositiveAuth(i, k, kind, label)
 
 
-def _strong_global_negative(
+def _strong_global(
     state: AuthorizationState,
     pos: PosMap,
     neg: NegMap,
-    i: Principal,
-    config: EngineConfig,
-    label: RevocationLabel,
-    active_pre: frozenset[Principal],
+    ind: frozenset[Principal],
     j: Principal,
+    label: RevocationLabel | None,
+    config: EngineConfig,
 ) -> None:
+    """Strong global propagation: find the principals the operation has killed
+    a grant into, dominate those not dominated yet, and repeat until dominance
+    kills nothing.
+
+    A delete cascade finds them as j plus the grantees `_repair` dropped; a
+    negative one as the grantees of pre-state-active grants now blocked or
+    out of an inactive grantor.  Each principal is dominated once: `ind` is
+    fixed and a cascade only ever deletes or only ever blocks, so a second
+    pass over the same grantee would kill nothing.
+    """
     soa = state.soa
-    ind = _independents(state, i)
+    active_pre = state.active_reach
     blocked_pre = state.negative_by_pair
+    killed_into = {j}
+    dominated: set[Principal] = set()
     while True:
-        changed = False
-        act = _reach(soa, pos, neg)
-        targets: set[Principal] = set()
-        for auth in state.positive:
-            was_active = auth.pair not in blocked_pre and auth.grantor in active_pre
-            now_dead = auth.pair in neg or auth.grantor not in act
-            if was_active and now_dead:
-                targets.add(auth.grantee)
+        if label is None:
+            killed_into |= _repair(soa, pos, neg)
+        else:
+            act = _reach(soa, pos, neg)
+            killed_into = {
+                auth.grantee
+                for auth in state.positive
+                if auth.grantor in active_pre
+                and auth.pair not in blocked_pre
+                and (auth.pair in neg or auth.grantor not in act)
+            }
         if not config.sgd_descendant_dominance:
-            targets &= {j}
-        for auth in state.positive:
-            if auth.grantee in targets and auth.grantor not in ind and auth.pair not in neg:
-                neg[auth.pair] = NegativeAuth(auth.grantor, auth.grantee, label)
-                changed = True
-        if not changed:
+            killed_into &= {j}
+        targets = killed_into - dominated
+        dominated |= targets
+        if not _dominate(state, pos, neg, ind, targets, label):
             return
 
 
@@ -495,28 +457,34 @@ def undo_negative(
 # Timelines.
 
 
+def apply_step(
+    state: AuthorizationState, operation: Operation, config: EngineConfig | None = None
+) -> tuple[AuthorizationState, RevocationDelta]:
+    """Apply one operation record to a state; the state is unchanged on error."""
+    match operation:
+        case GrantOp(grantor=g, grantee=e, kind=k):
+            return grant(state, g, e, k)
+        case NegativeOp(grantor=g, grantee=e):
+            return issue_negative(state, g, e)
+        case RevokeOp(scheme=s, revoker=r, target=t):
+            return apply_scheme(state, RevocationRequest(s, r, t), config)
+        case UndoOp(grantor=g, grantee=e):
+            return undo_negative(state, g, e)
+    raise TypeError(f"unknown operation {operation!r}")
+
+
 def apply_operation(
     timeline: Timeline, operation: Operation, config: EngineConfig | None = None
 ) -> Timeline:
     """Append one operation to a timeline; on error the timeline is unchanged."""
-    state = timeline.current
-    match operation:
-        case GrantOp(grantor=g, grantee=e, kind=k):
-            post, delta = grant(state, g, e, k)
-        case NegativeOp(grantor=g, grantee=e):
-            post, delta = issue_negative(state, g, e)
-        case RevokeOp(scheme=s, revoker=r, target=t):
-            post, delta = apply_scheme(state, RevocationRequest(s, r, t), config)
-        case UndoOp(grantor=g, grantee=e):
-            post, delta = undo_negative(state, g, e)
-        case _:
-            raise TypeError(f"unknown operation {operation!r}")
+    post, delta = apply_step(timeline.current, operation, config)
     return timeline.extended(TimelineStep(operation, delta, post))
 
 
 __all__ = [
     "apply_operation",
     "apply_scheme",
+    "apply_step",
     "grant",
     "issue_negative",
     "undo_negative",

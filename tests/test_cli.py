@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -251,6 +252,38 @@ class TestTrace:
         assert "step 1: grant A -> B TT" in err and "error:" in err
 
 
+    def test_memory_does_not_grow_with_trace_length(self, tmp_path, capsys):
+        names = [f"P{n}" for n in range(1000)]
+        state = {
+            "soa": names[0],
+            "principals": names,
+            "positive": [{"from": names[0], "to": p, "kind": "TT"} for p in names[1:]],
+            "negative": [],
+            "time": 0,
+        }
+        state_file = tmp_path / "star.json"
+        state_file.write_text(json.dumps(state), encoding="utf-8")
+
+        def peak(length):
+            trace = tmp_path / f"chain{length}.trace.json"
+            ops = [
+                {"op": "grant", "from": names[k], "to": names[k + 1], "kind": "TF"}
+                for k in range(1, length + 1)
+            ]
+            trace.write_text(json.dumps(ops), encoding="utf-8")
+            out = tmp_path / f"out{length}.json"
+            tracemalloc.start()
+            try:
+                assert main(["trace", str(state_file), str(trace), "-o", str(out)]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        short, long = peak(10), peak(100)
+        assert long < 1.3 * short, (short, long)
+
+
 class TestExport:
     def test_dot_on_stdout(self, fixtures_dir, capsys, blocked_chain):
         from authgraph import export_dot
@@ -304,6 +337,26 @@ class TestFailureModes:
         nested = tmp_path / "nested.json"
         nested.write_text("[" * 100_000, encoding="utf-8")
         assert main(["check", str(nested)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            pytest.param("check", b'{"soa": "A", "time": ' + b"1" * 5000 + b"}", id="huge-integer"),
+            pytest.param("check", b'{"soa": "\xff"}', id="not-utf8"),
+            pytest.param(
+                "export",
+                b'{"soa": "A", "principals": ["A", "\\ud800"], "positive": [],'
+                b' "negative": [], "time": 0}',
+                id="lone-surrogate",
+            ),
+        ],
+    )
+    def test_hostile_input_is_a_parse_error(self, tmp_path, capsys, command, content):
+        hostile = tmp_path / "hostile.json"
+        hostile.write_bytes(content)
+        assert main([command, str(hostile)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "internal error" not in err
 

@@ -195,6 +195,19 @@ class TestParseStateErrors:
                 ),
                 "negative[0]: label root principals must be non-empty",
             ),
+            pytest.param("1" * 5000, "invalid document", id="integer-past-digit-limit"),
+            pytest.param(
+                _mutant(lambda d: d.update(principals=["A", "B", "\ud800"])),
+                "principals[2]: name is not UTF-8 text",
+                id="lone-surrogate-principal",
+            ),
+            pytest.param(
+                _mutant(
+                    lambda d: d["positive"][0].update(label={"from": "\ud800", "to": "B", "seq": 0})
+                ),
+                "positive[0]: member 'from' is not UTF-8 text",
+                id="lone-surrogate-label",
+            ),
         ],
     )
     def test_rejected_with_diagnostic(self, payload, message):
@@ -250,6 +263,12 @@ class TestParseTrace:
             ('[{"op": "revoke", "from": "A", "to": "B", "scheme": "QQQ"}]', "unknown scheme 'QQQ'"),
             ('[{"op": "grant", "from": "A", "to": "B", "kind": "FF"}]', "kind"),
             pytest.param("[" * 100_000, "nested too deeply", id="deep-nesting"),
+            pytest.param("1" * 5000, "invalid document", id="integer-past-digit-limit"),
+            pytest.param(
+                '[{"op": "undo", "from": "\\ud800", "to": "B"}]',
+                "operations[0]: member 'from' is not UTF-8 text",
+                id="lone-surrogate",
+            ),
         ],
     )
     def test_rejected_with_diagnostic(self, payload, message):

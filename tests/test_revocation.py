@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from authgraph import (
     undo_negative,
     validate_connectivity,
 )
+from authgraph.io import serialize_state
 from authgraph.semantics import reachable_active
 
 import generators
@@ -453,3 +455,81 @@ class TestTimeline:
             )
             assert rebuilt_pos == set(post.positive)
             assert rebuilt_neg == set(post.negative)
+
+
+def _canonical(entry):
+    label = entry.label
+    if label is not None:
+        kind = None if label.restores_kind is None else label.restores_kind.name
+        label = (label.root_grantor, label.root_grantee, label.sequence, kind, label.restores_blocked)
+    kind = getattr(entry, "kind", None)
+    return repr((entry.grantor, entry.grantee, None if kind is None else kind.name, label))
+
+
+def _outcome(step):
+    """Text for one operation's result: the post-state and its delta, or the error's class."""
+    try:
+        post, delta = step()
+    except AuthGraphError as exc:
+        return type(exc).__name__, None
+    parts = [serialize_state(post)]
+    for entries in (
+        delta.deleted_positive,
+        delta.deleted_negative,
+        delta.issued_positive,
+        delta.issued_negative,
+    ):
+        parts.append("\n".join(sorted(map(_canonical, entries))))
+    return "\f".join(parts), post
+
+
+# One SHA-256 per (scheme, sgd_descendant_dominance) over every edge of 1 000
+# seeded states: the post-state, the delta and, for the negative schemes, the
+# undo of the revocation.  The states are grown with `grant` and
+# `issue_negative`, so a change to those or to the generator moves every digest.
+SCHEME_DIGESTS = {
+    (Scheme.WLD, True): "6acb16c4edadad12219b2261a21fe676b6e9862d0d11ba495e96bb6a6d8c5f39",
+    (Scheme.WLD, False): "6acb16c4edadad12219b2261a21fe676b6e9862d0d11ba495e96bb6a6d8c5f39",
+    (Scheme.WGD, True): "bbff37b9da2e83859b88210a37cbb255a570cfa6a50f071297ec689cfde7b640",
+    (Scheme.WGD, False): "bbff37b9da2e83859b88210a37cbb255a570cfa6a50f071297ec689cfde7b640",
+    (Scheme.SLD, True): "4925a4820fb3a9f23db886570d613c0a842f09cf205a3ae59c3fec5e35de939d",
+    (Scheme.SLD, False): "4925a4820fb3a9f23db886570d613c0a842f09cf205a3ae59c3fec5e35de939d",
+    (Scheme.SGD, True): "9607880a2726b7beff4682fa85ed5076e80f64339eea2fc7c9652d49d6f7e97b",
+    (Scheme.SGD, False): "2ebff55ada0cfc2ac5dc27090fbcab6e3203d727a20bee7525026581649011af",
+    (Scheme.WLN, True): "c961ea67d5b660162a37cff01d524b3ec39535980dbf156bb9595aabe863b73d",
+    (Scheme.WLN, False): "c961ea67d5b660162a37cff01d524b3ec39535980dbf156bb9595aabe863b73d",
+    (Scheme.WGN, True): "85140393a3578d6c6c0404a35c20ff811c74c5fc78bd5c998d185a38585826f2",
+    (Scheme.WGN, False): "85140393a3578d6c6c0404a35c20ff811c74c5fc78bd5c998d185a38585826f2",
+    (Scheme.SLN, True): "24fefe49ffa902803601d184b8400d044eae10ef181737b322c3f2e29242849f",
+    (Scheme.SLN, False): "24fefe49ffa902803601d184b8400d044eae10ef181737b322c3f2e29242849f",
+    (Scheme.SGN, True): "b802445ed0947a19b33d526bc007e85d7e87a975471b6105eab614e39310b1d2",
+    (Scheme.SGN, False): "f08b35dc7f43be69733fea315b6a1b4316813387b0ee49b5b375c83d0f2ebf95",
+}
+
+
+@pytest.fixture(scope="module")
+def digest_states():
+    return [generators.random_state(random.Random(seed)) for seed in range(1000)]
+
+
+class TestSchemeDigests:
+    @pytest.mark.parametrize(
+        "scheme, flag",
+        list(SCHEME_DIGESTS),
+        ids=[f"{s.name}-{'descendant' if f else 'target'}" for s, f in SCHEME_DIGESTS],
+    )
+    def test_exact_outputs_are_pinned(self, digest_states, scheme, flag):
+        config = EngineConfig(sgd_descendant_dominance=flag)
+        digest = hashlib.sha256()
+        for state in digest_states:
+            for edge in state.positive:
+                i, j = edge.pair
+                request = RevocationRequest(scheme, i, j)
+                text, post = _outcome(lambda: apply_scheme(state, request, config))
+                digest.update(text.encode())
+                if post is not None and not scheme.is_delete:
+                    undone, _ = _outcome(lambda: undo_negative(post, i, j))
+                    digest.update(undone.encode())
+        assert digest.hexdigest() == SCHEME_DIGESTS[scheme, flag], (
+            f"{scheme.name} with sgd_descendant_dominance={flag} changed its output"
+        )

@@ -25,7 +25,6 @@ from .model import (
     Scheme,
     UndoOp,
 )
-from .semantics import reachable_active
 
 FORMAT_VERSION = 1
 
@@ -300,7 +299,7 @@ def export_dot(state: AuthorizationState) -> str:
     ordering is deterministic: nodes sorted, then positive edges, then
     negative edges, each sorted by endpoints.
     """
-    active = reachable_active(state)
+    active = state.active_reach
     blocked = state.negative_by_pair
     lines = ["digraph authorization {", "  rankdir=LR;"]
     for p in sorted(state.principals):

@@ -9,24 +9,26 @@ on the same pair without deleting it.  All types here are plain immutable
 values: operations build new states rather than mutating old ones, which keeps
 timelines, undo, and the engine/oracle comparison trivially safe.
 
-Positive and negative authorizations are stored as tuples sorted by
-(grantor, grantee), so value equality of two states is equality of their
-canonical forms.  The state time is a step counter; it is carried through
-serialization but deliberately ignored by `states_equal`.
+A state stores its authorizations as two pair maps, `positive_by_pair` and
+`negative_by_pair`, in no particular order.  `positive` and `negative` are
+the same entries as tuples sorted by (grantor, grantee), built the first time
+something reads them: canonical documents, DOT output and value equality need
+that order, so equality of two states is equality of their canonical forms.
+The state time is a step counter; it is carried through serialization but
+deliberately ignored by `states_equal`.
 
 What a well-formed state is gets decided in one place, the public
 constructor: it checks everything it is given, names the offending entry by
-its position (`positive[3]: unknown principal 'Z'`), and sorts through the
-pair maps it keeps as indexes.  `parse_state` checks only the document's
-shape and defers to it.  The engine, which derives each state from a valid
-one, uses the private trusted path instead and splices the pairs an operation
-changed into the parent state's sorted tuples.  Adjacency, rooted
-reachability and the grantee index are built lazily, once per state.
+its position (`positive[3]: unknown principal 'Z'`), and keeps the pair maps
+it checks duplicates with.  `parse_state` checks only the document's shape
+and defers to it.  The engine, which derives each state from a valid one,
+uses the private trusted path instead and hands it only the pair maps.
+Adjacency, rooted reachability and the grantee index are built lazily from
+the maps, once per state.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -43,9 +45,9 @@ class cached_property:
     values; the lock only cost every first use of a per-state index.
     """
 
-    def __init__(self, func) -> None:
+    def __init__(self, func, name: str | None = None) -> None:
         self.func = func
-        self.name = func.__name__
+        self.name = name or func.__name__
         self.__doc__ = func.__doc__
 
     def __get__(self, instance, owner=None):
@@ -171,7 +173,7 @@ class AuthorizationState:
     positive: tuple[PositiveAuth, ...]
     negative: tuple[NegativeAuth, ...]
     time: int = 0
-    # `positive` and `negative` by pair; set by `__post_init__` and `_trusted`.
+    # The ground truth; `positive` and `negative` are sorted from these.
     positive_by_pair: Mapping[tuple[Principal, Principal], PositiveAuth] = field(
         init=False, repr=False, compare=False
     )
@@ -192,44 +194,52 @@ class AuthorizationState:
         positive = _pair_map("positive", "authorization", self.positive, self.principals)
         negative = _pair_map("negative", "negative authorization", self.negative, self.principals)
         self.__dict__.update(
-            positive=tuple(map(positive.__getitem__, sorted(positive))),
-            negative=tuple(map(negative.__getitem__, sorted(negative))),
+            positive=_sorted_entries(positive),
+            negative=_sorted_entries(negative),
             positive_by_pair=positive,
             negative_by_pair=negative,
         )
 
     @classmethod
-    def _trusted(cls, **fields: object) -> "AuthorizationState":
+    def _trusted(
+        cls,
+        soa: Principal,
+        principals: frozenset[Principal],
+        time: int,
+        positive_by_pair: Mapping[tuple[Principal, Principal], PositiveAuth],
+        negative_by_pair: Mapping[tuple[Principal, Principal], NegativeAuth],
+    ) -> "AuthorizationState":
         """Private trusted path for the engine: a state from parts that are
         already valid.
 
-        `fields` are the five dataclass fields plus the `positive_by_pair` and
-        `negative_by_pair` indexes.  Nothing is checked or sorted: the caller
-        guarantees everything `__post_init__` checks, that both tuples are
-        sorted by pair, and that the maps index exactly those tuples and are
-        never mutated again.
+        Nothing is checked or sorted: the caller guarantees everything
+        `__post_init__` checks, and that the maps are never mutated again.
+        `positive` and `negative` are sorted from the maps on first read
+        (see below the class).
         """
         state = object.__new__(cls)
-        state.__dict__.update(fields)
+        state.__dict__.update(
+            soa=soa,
+            principals=principals,
+            time=time,
+            positive_by_pair=positive_by_pair,
+            negative_by_pair=negative_by_pair,
+        )
         return state
 
     # Derived indexes.  States are immutable, so caching per instance is safe;
     # nothing is ever reused across distinct states.
 
     @cached_property
-    def negative_pairs(self) -> frozenset[tuple[Principal, Principal]]:
-        return frozenset(self.negative_by_pair)
-
-    @cached_property
     def chain_children(self) -> Mapping[Principal, tuple[Principal, ...]]:
         """TT successors per principal, negatives ignored (plain chain edges)."""
-        return {p: tuple(cs) for p, cs in _tt_adjacency(self.positive, ()).items()}
+        return {p: tuple(cs) for p, cs in _tt_adjacency(self.positive_by_pair, ()).items()}
 
     @cached_property
     def active_children(self) -> Mapping[Principal, tuple[Principal, ...]]:
         """TT successors per principal with FF-blocked pairs removed."""
-        blocked = self.negative_by_pair
-        return {p: tuple(cs) for p, cs in _tt_adjacency(self.positive, blocked).items()}
+        adjacency = _tt_adjacency(self.positive_by_pair, self.negative_by_pair)
+        return {p: tuple(cs) for p, cs in adjacency.items()}
 
     @cached_property
     def plain_reach(self) -> frozenset[Principal]:
@@ -243,9 +253,9 @@ class AuthorizationState:
 
     @cached_property
     def incoming(self) -> Mapping[Principal, tuple[PositiveAuth, ...]]:
-        """Positive authorizations per grantee, in pair order."""
+        """Positive authorizations per grantee, in no particular order."""
         out: dict[Principal, list[PositiveAuth]] = {}
-        for auth in self.positive:
+        for auth in self.positive_by_pair.values():
             out.setdefault(auth.grantee, []).append(auth)
         return {p: tuple(auths) for p, auths in out.items()}
 
@@ -260,21 +270,33 @@ class AuthorizationState:
         return AuthorizationState(
             soa=self.soa,
             principals=self.principals,
-            positive=tuple(positive) if positive is not None else self.positive,
-            negative=tuple(negative) if negative is not None else self.negative,
+            positive=tuple(self.positive_by_pair.values() if positive is None else positive),
+            negative=tuple(self.negative_by_pair.values() if negative is None else negative),
             time=self.time if time is None else time,
         )
 
 
+# A `_trusted` state's `positive` and `negative`: its pair maps, sorted on first
+# read and kept.  Set once the decorator has run, which would otherwise take
+# them for field defaults.  Not a `__getattr__` fallback: CPython does not
+# specialize attribute reads on a class that has one, which slowed every query.
+AuthorizationState.positive = cached_property(
+    lambda state: _sorted_entries(state.positive_by_pair), "positive"
+)
+AuthorizationState.negative = cached_property(
+    lambda state: _sorted_entries(state.negative_by_pair), "negative"
+)
+
+
 def _tt_adjacency(
-    positive: Iterable[PositiveAuth], blocked: Mapping | tuple
+    by_pair: Mapping[tuple[Principal, Principal], PositiveAuth], blocked: Mapping | tuple
 ) -> dict[Principal, list[Principal]]:
-    """TT successors per grantor, skipping pairs in `blocked`."""
+    """TT successors per grantor in a positive pair map, skipping pairs in `blocked`."""
     tt = PositiveKind.TT  # a local: enum member lookup is slow in a loop this hot
     out: dict[Principal, list[Principal]] = {}
-    for auth in positive:
-        if auth.kind is tt and (auth.grantor, auth.grantee) not in blocked:
-            out.setdefault(auth.grantor, []).append(auth.grantee)
+    for pair, auth in by_pair.items():
+        if auth.kind is tt and pair not in blocked:
+            out.setdefault(pair[0], []).append(pair[1])
     return out
 
 
@@ -297,41 +319,9 @@ def _pair_map(
     return by_pair
 
 
-def _pair_key(auth: PositiveAuth | NegativeAuth) -> tuple[Principal, Principal]:
-    return (auth.grantor, auth.grantee)
-
-
-# A change set at least this share of the entries is sorted afresh, which
-# then costs less than a binary search per changed pair.
-_RESORT_SHARE = 8
-
-
-def _splice(
-    entries: tuple, changes: Mapping[tuple[Principal, Principal], object], current: Mapping
-) -> tuple:
-    """The sorted tuple of `current`, the pair map that `entries` became.
-
-    `changes` maps each pair whose value changed to its new value, or None
-    when it was removed.  Few changes are spliced into `entries`: one binary
-    search per changed pair, resuming where the last one ended, and slice
-    copies of the unchanged runs in between.
-    """
-    if not changes:
-        return entries
-    if len(changes) * _RESORT_SHARE >= len(entries):
-        return tuple(map(current.__getitem__, sorted(current)))
-    out: list = []
-    start = 0
-    for pair in sorted(changes):
-        at = bisect_left(entries, pair, start, key=_pair_key)
-        out.extend(entries[start:at])
-        start = at
-        if at < len(entries) and _pair_key(entries[at]) == pair:
-            start += 1  # the pair's old entry is replaced or dropped
-        if changes[pair] is not None:
-            out.append(changes[pair])
-    out.extend(entries[start:])
-    return tuple(out)
+def _sorted_entries(by_pair: Mapping[tuple[Principal, Principal], object]) -> tuple:
+    """The entries of a pair map as a tuple sorted by pair."""
+    return tuple(map(by_pair.__getitem__, sorted(by_pair)))
 
 
 def _bfs(

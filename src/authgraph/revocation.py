@@ -33,9 +33,10 @@ Design notes that the code below relies on:
   dropping authorizations whose grantor lost all plain rooted chains; the
   resulting state never carries structurally orphaned authorizations.
 * Every operation works on copies of the pre-state's pair maps that record
-  each key written or deleted.  The delta and the post-state are built from
-  those keys alone: the post-state takes the working maps as its indexes and
-  its sorted tuples are the pre-state's with the changed pairs spliced in.
+  each key written or deleted.  The delta is built from those keys alone, and
+  the post-state takes the working maps as its pair maps; nothing is sorted.
+  The engine reads states only through their pair maps and indexes, never
+  through the sorted `positive`/`negative` tuples.
 * Negative-scheme additions carry a label identifying the operation.  A
   reissue that has to displace existing unlabelled content on its pair (a kind
   upgrade, or clearing a standing FF so the conveyed right stays live) records
@@ -74,7 +75,6 @@ from .model import (
     TimelineStep,
     UndoOp,
     _bfs,
-    _splice,
     _tt_adjacency,
 )
 from .semantics import _require_principals, reachable_active_avoiding
@@ -113,7 +113,7 @@ def _reach(
     soa: Principal, pos: Mapping[Pair, PositiveAuth], blocked: Mapping | tuple = ()
 ) -> frozenset[Principal]:
     """Rooted reachability over a working map's TT edges, skipping `blocked` pairs."""
-    return _bfs(_tt_adjacency(pos.values(), blocked), soa)
+    return _bfs(_tt_adjacency(pos, blocked), soa)
 
 
 def _independents(state: AuthorizationState, i: Principal) -> frozenset[Principal]:
@@ -137,37 +137,27 @@ def _repair(soa: Principal, pos: PosMap, neg: NegMap) -> set[Principal]:
     return {grantee for _, grantee in dropped}
 
 
-def _changes(before: Mapping, after: _Working) -> tuple[dict, frozenset, frozenset]:
-    """Each touched pair whose value differs from `before`, mapped to its new
-    value or None; plus the values removed and the values added."""
-    changes, removed, added = {}, [], []
+def _changes(before: Mapping, after: _Working) -> tuple[frozenset, frozenset]:
+    """The values removed from and added to `before`, from the touched pairs."""
+    removed, added = [], []
     for pair in after.touched:
         old, new = before.get(pair), after.get(pair)
         if old is new or (old is not None and new is not None and old == new):
             continue
-        changes[pair] = new
         if old is not None:
             removed.append(old)
         if new is not None:
             added.append(new)
-    return changes, frozenset(removed), frozenset(added)
+    return frozenset(removed), frozenset(added)
 
 
 def _finish(
     pre: AuthorizationState, pos: _Working, neg: _Working
 ) -> tuple[AuthorizationState, RevocationDelta]:
     """The post-state and the delta, both from the keys the operation touched."""
-    pos_changes, deleted_pos, issued_pos = _changes(pre.positive_by_pair, pos)
-    neg_changes, deleted_neg, issued_neg = _changes(pre.negative_by_pair, neg)
-    post = AuthorizationState._trusted(
-        soa=pre.soa,
-        principals=pre.principals,
-        positive=_splice(pre.positive, pos_changes, pos),
-        negative=_splice(pre.negative, neg_changes, neg),
-        time=pre.time + 1,
-        positive_by_pair=pos,
-        negative_by_pair=neg,
-    )
+    deleted_pos, issued_pos = _changes(pre.positive_by_pair, pos)
+    deleted_neg, issued_neg = _changes(pre.negative_by_pair, neg)
+    post = AuthorizationState._trusted(pre.soa, pre.principals, pre.time + 1, pos, neg)
     return post, RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
 
 
@@ -282,8 +272,9 @@ def _dominate(
     killed = False
     for k in targets:
         for auth in state.incoming.get(k, ()):
-            if auth.grantor not in ind and auth.pair in pos:
-                killed |= _kill(pos, neg, auth.pair, label)
+            pair = (auth.grantor, k)
+            if auth.grantor not in ind and pair in pos:
+                killed |= _kill(pos, neg, pair, label)
     return killed
 
 
@@ -313,13 +304,13 @@ def _reroot(
 
     j_was_active = j in state.active_reach
     blocked_pre = state.negative_by_pair
-    for auth in state.positive:
-        if auth.grantor != j or auth.grantee == i:
+    for pair, auth in state.positive_by_pair.items():
+        if pair[0] != j or pair[1] == i:
             continue
-        k = auth.grantee
-        if j_was_active and auth.pair not in blocked_pre:
+        k = pair[1]
+        if j_was_active and pair not in blocked_pre:
             _merge_reissue(pos, neg, i, k, auth.kind, label)
-        elif auth.pair not in pos and (i, k) not in pos:
+        elif pair not in pos and (i, k) not in pos:
             # keep the dead grant in existence, and keep it dead
             pos[(i, k)] = PositiveAuth(i, k, auth.kind)
             if (i, k) not in neg:
@@ -395,11 +386,11 @@ def _strong_global(
         else:
             act = _reach(soa, pos, neg)
             killed_into = {
-                auth.grantee
-                for auth in state.positive
-                if auth.grantor in active_pre
-                and auth.pair not in blocked_pre
-                and (auth.pair in neg or auth.grantor not in act)
+                pair[1]
+                for pair in state.positive_by_pair
+                if pair[0] in active_pre
+                and pair not in blocked_pre
+                and (pair in neg or pair[0] not in act)
             }
         if not config.sgd_descendant_dominance:
             killed_into &= {j}
@@ -434,22 +425,22 @@ def undo_negative(
 
     pos = _Working(state.positive_by_pair)
     neg = _Working(state.negative_by_pair)
-    restored: list[NegativeAuth] = []
-    for auth in state.positive:
+    restored: list[Pair] = []
+    for pair, auth in state.positive_by_pair.items():
         if auth.label is None or not is_ours(auth.label):
             continue
         if auth.label.restores_kind is not None:
-            pos[auth.pair] = PositiveAuth(auth.grantor, auth.grantee, auth.label.restores_kind)
+            pos[pair] = PositiveAuth(auth.grantor, auth.grantee, auth.label.restores_kind)
         else:
-            del pos[auth.pair]
+            del pos[pair]
         if auth.label.restores_blocked:
-            restored.append(NegativeAuth(auth.grantor, auth.grantee))
-    for n in state.negative:
+            restored.append(pair)
+    for pair, n in state.negative_by_pair.items():
         if is_ours(n.label):
-            del neg[n.pair]
-    for n in restored:
-        if n.pair not in neg:
-            neg[n.pair] = n
+            del neg[pair]
+    for pair in restored:
+        if pair not in neg:
+            neg[pair] = NegativeAuth(*pair)
     _repair(state.soa, pos, neg)
     return _finish(state, pos, neg)
 

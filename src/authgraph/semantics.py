@@ -48,13 +48,13 @@ def _require_principals(state: AuthorizationState, *principals: Principal) -> No
 def rooted_chain_exists(state: AuthorizationState, p: Principal) -> bool:
     """True if a plain rooted delegation chain reaches p."""
     _require_principals(state, p)
-    return p in reachable_plain(state)
+    return p in state.plain_reach
 
 
 def active_chain_exists(state: AuthorizationState, p: Principal) -> bool:
     """True if an active rooted delegation chain reaches p."""
     _require_principals(state, p)
-    return p in reachable_active(state)
+    return p in state.active_reach
 
 
 def has_delegation_right(state: AuthorizationState, p: Principal) -> bool:
@@ -95,6 +95,7 @@ def is_auth_active(
 ) -> bool:
     """Activity of the positive authorization on (grantor, grantee)."""
     if (grantor, grantee) not in state.positive_by_pair:
+        _require_principals(state, grantor, grantee)
         raise MissingAuthorizationError(
             f"no positive authorization from {grantor!r} to {grantee!r}"
         )

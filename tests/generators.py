@@ -135,6 +135,6 @@ def rights_profile(state: AuthorizationState) -> dict[str, tuple[bool, bool]]:
     active = reachable_active(state)
     access = set(active)
     for auth in state.positive:
-        if auth.grantor in active and auth.pair not in state.negative_pairs:
+        if auth.grantor in active and auth.pair not in state.negative_by_pair:
             access.add(auth.grantee)
     return {p: (p in access, p in active) for p in state.principals}

@@ -158,7 +158,7 @@ def test_criterion_04_undo_round_trip(capsys):
         while done < UNDO_ROUNDS_PER_SCHEME:
             state = generators.random_label_free_state(rng, max_principals=8)
             candidates = [
-                a for a in state.positive if a.pair not in state.negative_pairs
+                a for a in state.positive if a.pair not in state.negative_by_pair
             ]
             if not candidates:
                 continue
@@ -242,7 +242,7 @@ def scheme_sweep():
             continue
         exercised += 1
         i, j = edge.grantor, edge.grantee
-        blocked = (i, j) in state.negative_pairs
+        blocked = (i, j) in state.negative_by_pair
         pre_profile = generators.rights_profile(state)
         pre_into_j = [a.grantor for a in state.positive if a.grantee == j]
         for scheme in Scheme:
@@ -280,8 +280,8 @@ def scheme_sweep():
                 # i; slots merged on (i, k) and purged entries of disconnected
                 # grantors are the sanctioned exceptions
                 plain_post = reachable_plain(post)
-                post_pos, post_neg = post.positive_by_pair, post.negative_pairs
-                pre_pos, pre_neg = state.positive_by_pair, state.negative_pairs
+                post_pos, post_neg = post.positive_by_pair, post.negative_by_pair
+                pre_pos, pre_neg = state.positive_by_pair, state.negative_by_pair
                 for pair in pre_pos:
                     if pair not in post_pos and j not in pair and pair[0] in plain_post:
                         locality.append(f"{where}: removed positive {pair} away from target")
@@ -326,7 +326,7 @@ def scheme_sweep():
                     if (
                         auth.grantee == j
                         and auth.pair not in added
-                        and auth.pair not in state.negative_pairs
+                        and auth.pair not in state.negative_by_pair
                         and not is_independent(state, auth.grantor, i)
                     ):
                         invariants.append(f"{where}: dependent uncovered survivor ({auth.grantor},{j})")

@@ -114,7 +114,7 @@ def test_pair_indexes():
         negative=(NegativeAuth("A", "B"),),
     )
     assert state.positive_by_pair[("A", "B")].kind is PositiveKind.TT
-    assert state.negative_pairs == frozenset({("A", "B")})
+    assert set(state.negative_by_pair) == {("A", "B")}
     # TF edges never appear in chain adjacency; blocked TT edges drop from the active one
     assert state.chain_children.get("A") == ("B",)
     assert "B" not in state.chain_children

@@ -9,6 +9,7 @@ import pytest
 
 from authgraph import (
     AuthGraphError,
+    AuthorizationState,
     DowngradeError,
     DuplicateNegativeError,
     EngineConfig,
@@ -28,6 +29,10 @@ from authgraph import (
     apply_operation,
     apply_scheme,
     grant,
+    has_access_right,
+    has_delegation_right,
+    is_auth_active,
+    is_independent,
     issue_negative,
     new_state,
     states_equal,
@@ -102,6 +107,38 @@ class TestIssueNegative:
         state, _ = grant(empty_six, "A", "B", TT)
         state, _ = issue_negative(state, "A", "B")
         assert state.negative[0].label is None
+
+
+def _each_operation(base):
+    """(name, post-state) for one operation of every kind on `base`."""
+    yield "grant", grant(base, "A", "C", TT)[0]
+    yield "negative", issue_negative(base, "A", "D")[0]
+    for scheme in Scheme:
+        post = apply_scheme(base, RevocationRequest(scheme, "A", "B"))[0]
+        yield scheme.name, post
+        if not scheme.is_delete:
+            yield f"undo after {scheme.name}", undo_negative(post, "A", "B")[0]
+
+
+def test_engine_states_sort_entries_on_first_read(revocation_base):
+    # Operations and queries read only the pair maps; the sorted tuples are
+    # built when something asks for them, and then match the constructor's.
+    for name, post in _each_operation(revocation_base):
+        assert "positive" not in post.__dict__ and "negative" not in post.__dict__, name
+        has_access_right(post, "E")
+        has_delegation_right(post, "E")
+        is_independent(post, "E", "B")
+        is_auth_active(post, "A", "D")
+        assert "positive" not in post.__dict__ and "negative" not in post.__dict__, name
+        rebuilt = AuthorizationState(
+            post.soa,
+            post.principals,
+            tuple(post.positive_by_pair.values()),
+            tuple(post.negative_by_pair.values()),
+            post.time,
+        )
+        assert post.positive == rebuilt.positive, name
+        assert post.negative == rebuilt.negative, name
 
 
 class TestSchemeSnapshots:
@@ -272,7 +309,7 @@ class TestLocalReissueCorners:
         assert pre_deleg_c is False
         post, _ = apply_scheme(state, RevocationRequest(Scheme.WLD, "A", "B"))
         assert post.positive_by_pair[("A", "C")].kind is TF
-        assert ("A", "C") not in post.negative_pairs
+        assert ("A", "C") not in post.negative_by_pair
         assert "C" not in reachable_active(post)  # no delegation gained
 
     def test_downgrading_merge_severs_dependent_chains(self):
@@ -327,7 +364,7 @@ class TestUndo:
         slot = post.positive_by_pair[("A", "C")]
         assert slot.kind is TF and slot.label is not None
         assert slot.label.restores_kind is TT and slot.label.restores_blocked
-        assert ("A", "C") not in post.negative_pairs
+        assert ("A", "C") not in post.negative_by_pair
         back, _ = undo_negative(post, "A", "B")
         assert states_equal(back, state)
 
@@ -353,7 +390,7 @@ class TestUndo:
         post, _ = apply_scheme(post, RevocationRequest(Scheme.WLD, "A", "E"))
         back, _ = undo_negative(post, "A", "B")
         assert validate_connectivity(back) == []
-        assert ("A", "B") not in back.negative_pairs
+        assert ("A", "B") not in back.negative_by_pair
 
 
 class TestCorrespondence:
@@ -378,7 +415,7 @@ class TestCorrespondence:
         return {
             (a.grantor, a.grantee, a.kind.name)
             for a in state.positive
-            if a.grantor in act and a.pair not in state.negative_pairs
+            if a.grantor in act and a.pair not in state.negative_by_pair
         }
 
     def test_on_randomized_acyclic_states(self):

@@ -64,6 +64,13 @@ class TestActivation:
         with pytest.raises(MissingAuthorizationError):
             is_auth_active(blocked_chain, "D", "A")
 
+    def test_unknown_principal_raises(self, blocked_chain):
+        # as every other query does, not as a missing authorization
+        with pytest.raises(UnknownPrincipalError):
+            is_auth_active(blocked_chain, "Z", "A")
+        with pytest.raises(UnknownPrincipalError):
+            is_auth_active(blocked_chain, "A", "Z")
+
 
 class TestChains:
     def test_plain_ignores_negatives(self, blocked_chain):

@@ -30,11 +30,9 @@ FORMAT_VERSION = 1
 
 
 # Parsing.
-
-
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParseError(message)
+#
+# Every check raises only when it fails, so no message is built for a
+# document that passes; a large document runs millions of them.
 
 
 def _is_utf8(text: str) -> bool:
@@ -47,39 +45,41 @@ def _is_utf8(text: str) -> bool:
 
 
 def _str_member(obj: dict[str, Any], key: str, where: str) -> str:
-    _expect(key in obj, f"{where}: missing member {key!r}")
+    if key not in obj:
+        raise ParseError(f"{where}: missing member {key!r}")
     value = obj[key]
-    _expect(isinstance(value, str), f"{where}: member {key!r} must be text")
-    _expect(_is_utf8(value), f"{where}: member {key!r} is not UTF-8 text")
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: member {key!r} must be text")
+    if not _is_utf8(value):
+        raise ParseError(f"{where}: member {key!r} is not UTF-8 text")
     return value
 
 
+_LABEL_MEMBERS = frozenset({"from", "to", "seq", "was_kind", "was_blocked"})
+
+
 def _parse_label(doc: Any, where: str) -> RevocationLabel:
-    _expect(isinstance(doc, dict), f"{where}: label must be an object")
-    allowed = {"from", "to", "seq", "was_kind", "was_blocked"}
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: label must be an object")
     for key in doc:
-        _expect(key in allowed, f"{where}: unknown label member {key!r}")
+        if key not in _LABEL_MEMBERS:
+            raise ParseError(f"{where}: unknown label member {key!r}")
     root_grantor = _str_member(doc, "from", where)
     root_grantee = _str_member(doc, "to", where)
-    _expect("seq" in doc, f"{where}: missing label member 'seq'")
+    if "seq" not in doc:
+        raise ParseError(f"{where}: missing label member 'seq'")
     seq = doc["seq"]
-    _expect(
-        isinstance(seq, int) and not isinstance(seq, bool) and seq >= 0,
-        f"{where}: label member 'seq' must be a non-negative integer",
-    )
+    if not (isinstance(seq, int) and not isinstance(seq, bool) and seq >= 0):
+        raise ParseError(f"{where}: label member 'seq' must be a non-negative integer")
     restores_kind = None
     if "was_kind" in doc:
         raw = doc["was_kind"]
-        _expect(
-            isinstance(raw, str) and raw in PositiveKind.__members__,
-            f"{where}: label member 'was_kind' must be \"TT\" or \"TF\"",
-        )
+        if not (isinstance(raw, str) and raw in PositiveKind.__members__):
+            raise ParseError(f"{where}: label member 'was_kind' must be \"TT\" or \"TF\"")
         restores_kind = PositiveKind[raw]
     restores_blocked = doc.get("was_blocked", False)
-    _expect(
-        isinstance(restores_blocked, bool),
-        f"{where}: label member 'was_blocked' must be a boolean",
-    )
+    if not isinstance(restores_blocked, bool):
+        raise ParseError(f"{where}: label member 'was_blocked' must be a boolean")
     return RevocationLabel(
         root_grantor,
         root_grantee,
@@ -89,10 +89,12 @@ def _parse_label(doc: Any, where: str) -> RevocationLabel:
     )
 
 
-def _parse_endpoints(doc: Any, where: str, allowed: set[str]) -> tuple[str, str]:
-    _expect(isinstance(doc, dict), f"{where}: entry must be an object")
+def _parse_endpoints(doc: Any, where: str, allowed: frozenset[str]) -> tuple[str, str]:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: entry must be an object")
     for key in doc:
-        _expect(key in allowed, f"{where}: unknown member {key!r}")
+        if key not in allowed:
+            raise ParseError(f"{where}: unknown member {key!r}")
     return _str_member(doc, "from", where), _str_member(doc, "to", where)
 
 
@@ -105,6 +107,11 @@ def _load(text: str) -> Any:
         raise ParseError("invalid document: nested too deeply") from exc
 
 
+_STATE_MEMBERS = frozenset({"version", "soa", "principals", "positive", "negative", "time"})
+_POSITIVE_MEMBERS = frozenset({"from", "to", "kind", "label"})
+_NEGATIVE_MEMBERS = frozenset({"from", "to", "label"})
+
+
 def parse_state(text: str) -> AuthorizationState:
     """Parse a state document and build it through the public constructor.
 
@@ -114,59 +121,62 @@ def parse_state(text: str) -> AuthorizationState:
     from an entry's value type, becomes a `ParseError` naming the entry.
     """
     doc = _load(text)
-    _expect(isinstance(doc, dict), "state document must be an object")
-    allowed = {"version", "soa", "principals", "positive", "negative", "time"}
+    if not isinstance(doc, dict):
+        raise ParseError("state document must be an object")
     for key in doc:
-        _expect(key in allowed, f"unknown member {key!r}")
+        if key not in _STATE_MEMBERS:
+            raise ParseError(f"unknown member {key!r}")
     version = doc.get("version", FORMAT_VERSION)
-    _expect(version == FORMAT_VERSION, f"unsupported version {version!r}")
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported version {version!r}")
 
     soa = _str_member(doc, "soa", "state")
-    _expect("principals" in doc, "state: missing member 'principals'")
+    if "principals" not in doc:
+        raise ParseError("state: missing member 'principals'")
     raw_principals = doc["principals"]
-    _expect(
-        isinstance(raw_principals, list)
-        and all(isinstance(p, str) for p in raw_principals),
-        "state: member 'principals' must be a list of text names",
-    )
+    if not (
+        isinstance(raw_principals, list) and all(isinstance(p, str) for p in raw_principals)
+    ):
+        raise ParseError("state: member 'principals' must be a list of text names")
     for index, name in enumerate(raw_principals):
-        _expect(_is_utf8(name), f"principals[{index}]: name is not UTF-8 text")
+        if not _is_utf8(name):
+            raise ParseError(f"principals[{index}]: name is not UTF-8 text")
     principals = frozenset(raw_principals)
-    _expect(
-        len(principals) == len(raw_principals), "state: duplicate principal names"
-    )
+    if len(principals) != len(raw_principals):
+        raise ParseError("state: duplicate principal names")
 
-    _expect("time" in doc, "state: missing member 'time'")
+    if "time" not in doc:
+        raise ParseError("state: missing member 'time'")
     time = doc["time"]
-    _expect(
-        isinstance(time, int) and not isinstance(time, bool) and time >= 0,
-        "state: member 'time' must be a non-negative integer",
-    )
+    if not (isinstance(time, int) and not isinstance(time, bool) and time >= 0):
+        raise ParseError("state: member 'time' must be a non-negative integer")
 
     positive: list[PositiveAuth] = []
-    _expect("positive" in doc, "state: missing member 'positive'")
-    _expect(isinstance(doc["positive"], list), "state: member 'positive' must be a list")
+    if "positive" not in doc:
+        raise ParseError("state: missing member 'positive'")
+    if not isinstance(doc["positive"], list):
+        raise ParseError("state: member 'positive' must be a list")
     try:
         for index, entry in enumerate(doc["positive"]):
             where = f"positive[{index}]"
-            grantor, grantee = _parse_endpoints(entry, where, {"from", "to", "kind", "label"})
+            grantor, grantee = _parse_endpoints(entry, where, _POSITIVE_MEMBERS)
             raw_kind = _str_member(entry, "kind", where)
-            _expect(
-                raw_kind in PositiveKind.__members__,
-                f"{where}: member 'kind' must be \"TT\" or \"TF\"",
-            )
+            if raw_kind not in PositiveKind.__members__:
+                raise ParseError(f"{where}: member 'kind' must be \"TT\" or \"TF\"")
             label = _parse_label(entry["label"], where) if "label" in entry else None
             positive.append(PositiveAuth(grantor, grantee, PositiveKind[raw_kind], label))
     except ModelError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
     negative: list[NegativeAuth] = []
-    _expect("negative" in doc, "state: missing member 'negative'")
-    _expect(isinstance(doc["negative"], list), "state: member 'negative' must be a list")
+    if "negative" not in doc:
+        raise ParseError("state: missing member 'negative'")
+    if not isinstance(doc["negative"], list):
+        raise ParseError("state: member 'negative' must be a list")
     try:
         for index, entry in enumerate(doc["negative"]):
             where = f"negative[{index}]"
-            grantor, grantee = _parse_endpoints(entry, where, {"from", "to", "label"})
+            grantor, grantee = _parse_endpoints(entry, where, _NEGATIVE_MEMBERS)
             label = _parse_label(entry["label"], where) if "label" in entry else None
             negative.append(NegativeAuth(grantor, grantee, label))
     except ModelError as exc:
@@ -225,7 +235,8 @@ def serialize_state(state: AuthorizationState) -> str:
 
 # Traces.
 
-_SCHEME_NAMES = set(Scheme.__members__)
+_SCHEME_NAMES = frozenset(Scheme.__members__)
+_TRACE_MEMBERS = frozenset({"version", "operations"})
 
 
 def parse_trace(text: str) -> tuple[Operation, ...]:
@@ -238,46 +249,50 @@ def parse_trace(text: str) -> tuple[Operation, ...]:
     """
     doc = _load(text)
     if isinstance(doc, dict):
-        allowed = {"version", "operations"}
         for key in doc:
-            _expect(key in allowed, f"trace: unknown member {key!r}")
+            if key not in _TRACE_MEMBERS:
+                raise ParseError(f"trace: unknown member {key!r}")
         version = doc.get("version", FORMAT_VERSION)
-        _expect(version == FORMAT_VERSION, f"trace: unsupported version {version!r}")
-        _expect("operations" in doc, "trace: missing member 'operations'")
+        if version != FORMAT_VERSION:
+            raise ParseError(f"trace: unsupported version {version!r}")
+        if "operations" not in doc:
+            raise ParseError("trace: missing member 'operations'")
         entries = doc["operations"]
     else:
         entries = doc
-    _expect(isinstance(entries, list), "trace: operations must form a list")
+    if not isinstance(entries, list):
+        raise ParseError("trace: operations must form a list")
 
     operations: list[Operation] = []
     for index, entry in enumerate(entries):
         where = f"operations[{index}]"
-        _expect(isinstance(entry, dict), f"{where}: entry must be an object")
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: entry must be an object")
         op = _str_member(entry, "op", where)
         grantor = _str_member(entry, "from", where)
         grantee = _str_member(entry, "to", where)
         keys = set(entry)
         if op == "grant":
-            _expect(keys == {"op", "from", "to", "kind"}, f"{where}: grant needs exactly op/from/to/kind")
+            if keys != {"op", "from", "to", "kind"}:
+                raise ParseError(f"{where}: grant needs exactly op/from/to/kind")
             raw_kind = _str_member(entry, "kind", where)
-            _expect(
-                raw_kind in PositiveKind.__members__,
-                f"{where}: member 'kind' must be \"TT\" or \"TF\"",
-            )
+            if raw_kind not in PositiveKind.__members__:
+                raise ParseError(f"{where}: member 'kind' must be \"TT\" or \"TF\"")
             operations.append(GrantOp(grantor, grantee, PositiveKind[raw_kind]))
         elif op == "negative":
-            _expect(keys == {"op", "from", "to"}, f"{where}: negative needs exactly op/from/to")
+            if keys != {"op", "from", "to"}:
+                raise ParseError(f"{where}: negative needs exactly op/from/to")
             operations.append(NegativeOp(grantor, grantee))
         elif op == "revoke":
-            _expect(keys == {"op", "from", "to", "scheme"}, f"{where}: revoke needs exactly op/from/to/scheme")
+            if keys != {"op", "from", "to", "scheme"}:
+                raise ParseError(f"{where}: revoke needs exactly op/from/to/scheme")
             raw_scheme = _str_member(entry, "scheme", where)
-            _expect(
-                raw_scheme in _SCHEME_NAMES,
-                f"{where}: unknown scheme {raw_scheme!r}",
-            )
+            if raw_scheme not in _SCHEME_NAMES:
+                raise ParseError(f"{where}: unknown scheme {raw_scheme!r}")
             operations.append(RevokeOp(Scheme[raw_scheme], grantor, grantee))
         elif op == "undo":
-            _expect(keys == {"op", "from", "to"}, f"{where}: undo needs exactly op/from/to")
+            if keys != {"op", "from", "to"}:
+                raise ParseError(f"{where}: undo needs exactly op/from/to")
             operations.append(UndoOp(grantor, grantee))
         else:
             raise ParseError(f"{where}: unknown operation {op!r}")

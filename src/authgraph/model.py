@@ -22,16 +22,24 @@ constructor: it checks everything it is given, names the offending entry by
 its position (`positive[3]: unknown principal 'Z'`), and keeps the pair maps
 it checks duplicates with.  `parse_state` checks only the document's shape
 and defers to it.  The engine, which derives each state from a valid one,
-uses the private trusted path instead and hands it only the pair maps.
-Adjacency, rooted reachability and the grantee index are built lazily from
-the maps, once per state.
+uses the private trusted path instead and hands it only the pair maps, plus
+the state's orphan grantors when the operation already knows them.
+
+Every other index is built lazily from the maps, once per state: TT
+adjacency (plain and active), the grantees by grantor over both maps
+(`outgoing`), the positive authorizations by grantee (`incoming`), and rooted
+reachability.  Reachability is kept as the parent map of its BFS (`{p: the
+principal whose TT edge first reached p}`, the SOA mapped to None), so
+membership reads stay cheap and the engine can tell which principals hang
+below a given tree edge.  `orphans` names the grantors without a plain rooted
+chain; only a state that never went through the engine's repair has any.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import ModelError
@@ -208,6 +216,7 @@ class AuthorizationState:
         time: int,
         positive_by_pair: Mapping[tuple[Principal, Principal], PositiveAuth],
         negative_by_pair: Mapping[tuple[Principal, Principal], NegativeAuth],
+        orphans: frozenset[Principal] | None = None,
     ) -> "AuthorizationState":
         """Private trusted path for the engine: a state from parts that are
         already valid.
@@ -215,7 +224,8 @@ class AuthorizationState:
         Nothing is checked or sorted: the caller guarantees everything
         `__post_init__` checks, and that the maps are never mutated again.
         `positive` and `negative` are sorted from the maps on first read
-        (see below the class).
+        (see below the class).  `orphans`, when given, must equal what the
+        index of that name would compute.
         """
         state = object.__new__(cls)
         state.__dict__.update(
@@ -225,6 +235,8 @@ class AuthorizationState:
             positive_by_pair=positive_by_pair,
             negative_by_pair=negative_by_pair,
         )
+        if orphans is not None:
+            state.__dict__["orphans"] = orphans
         return state
 
     # Derived indexes.  States are immutable, so caching per instance is safe;
@@ -242,13 +254,15 @@ class AuthorizationState:
         return {p: tuple(cs) for p, cs in adjacency.items()}
 
     @cached_property
-    def plain_reach(self) -> frozenset[Principal]:
-        """Principals with a rooted delegation chain, negatives ignored."""
+    def plain_reach(self) -> Mapping[Principal, Principal | None]:
+        """Principals with a rooted delegation chain, negatives ignored, each
+        mapped to its BFS parent."""
         return _bfs(self.chain_children, self.soa)
 
     @cached_property
-    def active_reach(self) -> frozenset[Principal]:
-        """Principals with an active rooted delegation chain."""
+    def active_reach(self) -> Mapping[Principal, Principal | None]:
+        """Principals with an active rooted delegation chain, each mapped to
+        its BFS parent."""
         return _bfs(self.active_children, self.soa)
 
     @cached_property
@@ -258,6 +272,23 @@ class AuthorizationState:
         for auth in self.positive_by_pair.values():
             out.setdefault(auth.grantee, []).append(auth)
         return {p: tuple(auths) for p, auths in out.items()}
+
+    @cached_property
+    def outgoing(self) -> Mapping[Principal, tuple[Principal, ...]]:
+        """Grantees per grantor over both pair maps, each pair once."""
+        out: dict[Principal, list[Principal]] = {}
+        positive = self.positive_by_pair
+        for grantor, grantee in chain(
+            positive, (pair for pair in self.negative_by_pair if pair not in positive)
+        ):
+            out.setdefault(grantor, []).append(grantee)
+        return {p: tuple(grantees) for p, grantees in out.items()}
+
+    @cached_property
+    def orphans(self) -> frozenset[Principal]:
+        """Grantors of some authorization that have no plain rooted chain."""
+        reach = self.plain_reach
+        return frozenset(p for p in self.outgoing if p not in reach)
 
     def replace_authorizations(
         self,
@@ -328,19 +359,20 @@ def _bfs(
     adjacency: Mapping[Principal, Iterable[Principal]],
     start: Principal,
     avoid: Principal | None = None,
-) -> frozenset[Principal]:
-    """Worklist reachability from `start`, with `avoid` excised from the graph."""
+) -> dict[Principal, Principal | None]:
+    """Breadth-first reachability from `start`, with `avoid` excised from the
+    graph, as a parent map: each principal reached maps to the one it was
+    first reached from, `start` to None."""
     if start == avoid:
-        return frozenset()
-    seen = {start}
-    queue = deque((start,))
-    while queue:
-        p = queue.popleft()
+        return {}
+    parent: dict[Principal, Principal | None] = {start: None}
+    queue = [start]
+    for p in queue:  # the list grows while it is walked: a FIFO without pops
         for q in adjacency.get(p, ()):
-            if q != avoid and q not in seen:
-                seen.add(q)
+            if q != avoid and q not in parent:
+                parent[q] = p
                 queue.append(q)
-    return frozenset(seen)
+    return parent
 
 
 def new_state(soa: Principal, principals: Iterable[Principal]) -> AuthorizationState:

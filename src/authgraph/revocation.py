@@ -8,9 +8,10 @@ below, and `apply_scheme` composes them into all eight schemes:
   undo can lift.  The label (None for a delete scheme) is the only thing that
   selects this axis.
 * Dominance, `_dominate`: strong schemes also kill the grants into a target
-  issued by principals whose every active chain runs through the revoker i;
-  weak schemes leave other grantors' edges alone.  The grants into a target
-  come from the pre-state's grantee index.
+  issued by principals whose every active chain runs through the revoker i
+  (`_dependents`: the active reach lost when i is excised); weak schemes leave
+  other grantors' edges alone.  The grants into a target come from the
+  pre-state's grantee index.
 * Propagation: local schemes (`_reroot`) touch only authorizations incident
   to the target j, re-rooting j's grants at i.  Global schemes cascade to
   everything that depended on the revoked edge: a blocked edge inactivates
@@ -31,12 +32,21 @@ Design notes that the code below relies on:
   together with a pairing FF so it stays dead.
 * Every operation that deletes edges finishes with a connectivity repair pass
   dropping authorizations whose grantor lost all plain rooted chains; the
-  resulting state never carries structurally orphaned authorizations.
+  resulting state never carries structurally orphaned authorizations.  Only
+  three kinds of grantor can be unrooted: one the operation cut off, one of a
+  pair new to the state, and one of the pre-state's own orphans (a document
+  may carry them; an engine state after a repair has none).
 * Every operation works on copies of the pre-state's pair maps that record
   each key written or deleted.  The delta is built from those keys alone, and
   the post-state takes the working maps as its pair maps; nothing is sorted.
   The engine reads states only through their pair maps and indexes, never
   through the sorted `positive`/`negative` tuples.
+* "Who keeps a chain?" is answered by one primitive, `_recheck`, from the
+  pre-state's BFS parent map and the pairs the working copies touched: only
+  the tree subtrees under cut edges are rechecked, so no adjacency is rebuilt
+  from a working map and the cost follows the region an operation affects.
+  Each post-state is handed its orphan set whenever the operation knows it,
+  so its own repair later needs no pass of its own.
 * Negative-scheme additions carry a label identifying the operation.  A
   reissue that has to displace existing unlabelled content on its pair (a kind
   upgrade, or clearing a standing FF so the conveyed right stays live) records
@@ -47,6 +57,7 @@ Design notes that the code below relies on:
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain
 from typing import Iterable, Mapping, MutableMapping
 
 from .errors import (
@@ -74,20 +85,22 @@ from .model import (
     Timeline,
     TimelineStep,
     UndoOp,
-    _bfs,
-    _tt_adjacency,
 )
-from .semantics import _require_principals, reachable_active_avoiding
+from .semantics import _require_principals
 
 Pair = tuple[Principal, Principal]
 PosMap = MutableMapping[Pair, PositiveAuth]
 NegMap = MutableMapping[Pair, NegativeAuth]
+_TT = PositiveKind.TT  # a global: enum member lookup is slow in the hot loops below
+_DEFAULT_CONFIG = EngineConfig()
+_NOTHING: frozenset = frozenset()
 
 
 class _Working(dict):
     """Working copy of one of a state's pair maps; remembers every key it wrote or deleted.
 
     The engine mutates these only through item assignment, `del` and `pop`.
+    A post-state keeps its working maps; they pickle as plain dicts.
     """
 
     __slots__ = ("touched",)
@@ -108,37 +121,160 @@ class _Working(dict):
         self.touched.add(key)
         return dict.pop(self, key, *default)
 
-
-def _reach(
-    soa: Principal, pos: Mapping[Pair, PositiveAuth], blocked: Mapping | tuple = ()
-) -> frozenset[Principal]:
-    """Rooted reachability over a working map's TT edges, skipping `blocked` pairs."""
-    return _bfs(_tt_adjacency(pos, blocked), soa)
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
-def _independents(state: AuthorizationState, i: Principal) -> frozenset[Principal]:
-    """Principals independent of i: the SOA plus active reach with i excised."""
-    return reachable_active_avoiding(state, i) | {state.soa}
+def _recheck(
+    state: AuthorizationState,
+    pos: Mapping[Pair, PositiveAuth],
+    neg: Mapping[Pair, NegativeAuth],
+    touched: Iterable[Pair],
+    active: bool,
+    avoid: Principal | None = None,
+) -> tuple[set[Principal], set[Principal]]:
+    """Rooted reachability after the edits on the `touched` pairs, with
+    `avoid` excised from the graph, as the principals lost and gained against
+    the state's own plain or active reach.
 
-
-def _repair(soa: Principal, pos: PosMap, neg: NegMap) -> set[Principal]:
-    """Drop authorizations whose grantor has no plain rooted chain left, and
-    return the grantees of the positive ones dropped.
-
-    One pass suffices: edges out of unreachable principals contribute nothing
-    to reachability from the SOA, so removing them disconnects nobody else.
+    Mark and recheck: a principal can lose its chain only if it hangs below a
+    cut edge of the state's BFS tree (or below `avoid`).  Those subtrees are
+    marked; a marked principal is re-admitted by a live TT edge from one that
+    kept its chain, and everything a re-admitted principal or a newly live
+    edge reaches is rechecked forward.  The cost follows the marked region,
+    and edits that change no edge's liveness read no index at all.
     """
-    reach = _reach(soa, pos)
-    dropped = [p for p in pos if p[0] not in reach]
-    for pair in dropped:
-        del pos[pair]
-    for pair in [p for p in neg if p[0] not in reach]:
-        del neg[pair]
-    return {grantee for _, grantee in dropped}
+    before, get = state.positive_by_pair, pos.get
+    if active:
+        blocked_before, blocked = state.negative_by_pair, neg
+    else:
+        blocked_before = blocked = ()
+    cuts, added = [], {}
+    for pair in touched:
+        old, new = before.get(pair), get(pair)
+        was = old is not None and old.kind is _TT and pair not in blocked_before
+        if new is not None and new.kind is _TT and pair not in blocked:
+            if not was:
+                added.setdefault(pair[0], []).append(pair[1])
+        elif was:
+            cuts.append(pair)
+    if not cuts and not added and avoid is None:
+        return set(), set()
+
+    if active:
+        reach, children = state.active_reach, state.active_children
+    else:
+        reach, children = state.plain_reach, state.chain_children
+    parent = reach.get
+    marked = set()
+    for g, k in cuts:
+        if parent(k) == g:
+            marked.add(k)
+    if avoid in reach:
+        marked.add(avoid)
+    if not marked and not added:
+        return marked, set()
+    stack = list(marked)
+    for x in stack:  # grows while walked
+        for c in children.get(x, ()):
+            if parent(c) == x and c not in marked:
+                marked.add(c)
+                stack.append(c)
+
+    # Re-admit: a marked principal with a live edge from one that kept its
+    # chain, or any principal a newly live edge from such a one reaches.
+    regained = []
+    if marked:
+        incoming = state.incoming
+        for k in marked:
+            if k == avoid:
+                continue
+            for auth in incoming.get(k, ()):
+                g = auth.grantor
+                if g in reach and g not in marked:
+                    now = get((g, k))
+                    if now is not None and now.kind is _TT and (g, k) not in blocked:
+                        regained.append(k)
+                        break
+    for g, grantees in added.items():
+        if g in reach and g not in marked:
+            for k in grantees:
+                if k != avoid and (k not in reach or k in marked):
+                    regained.append(k)
+    if not regained:
+        return marked, set()
+    seen = set(regained)
+    for x in regained:  # grows while walked
+        successors = children.get(x, ())
+        if x in added:
+            successors = chain(successors, added[x])
+        for y in successors:
+            if y in seen or y == avoid or (y in reach and y not in marked):
+                continue
+            now = get((x, y))
+            if now is not None and now.kind is _TT and (x, y) not in blocked:
+                seen.add(y)
+                regained.append(y)
+    marked -= seen
+    gained = set()
+    if added:
+        for p in seen:
+            if p not in reach:
+                gained.add(p)
+    return marked, gained
+
+
+def _dependents(state: AuthorizationState, i: Principal) -> set[Principal]:
+    """Active principals other than the SOA whose every active chain runs
+    through i, i included."""
+    if i == state.soa:  # every chain starts there: no marking walk over the whole tree
+        return state.active_reach.keys() - {i}
+    lost, _ = _recheck(state, state.positive_by_pair, state.negative_by_pair, (), True, i)
+    return lost
+
+
+def _repair(
+    state: AuthorizationState, pos: PosMap, neg: NegMap, touched: Iterable[Pair]
+) -> set[Principal]:
+    """Drop authorizations whose grantor has no plain rooted chain left after
+    the edits on the `touched` pairs, and return the grantees of the positive
+    ones dropped.
+
+    Such a grantor lost its chain in the edits, or never had one: one of the
+    state's own orphans, or a grantor of a pair new to both maps.  One pass
+    suffices: edges out of unreachable principals contribute nothing to
+    reachability from the SOA, so removing them disconnects nobody else.
+    """
+    unrooted, gained = _recheck(state, pos, neg, touched, False)
+    if state.orphans:
+        unrooted |= state.orphans - gained
+    before_pos, before_neg = state.positive_by_pair, state.negative_by_pair
+    added = []
+    for pair in touched:
+        if (pair in pos or pair in neg) and pair not in before_pos and pair not in before_neg:
+            added.append(pair)
+            if pair[0] not in gained and pair[0] not in state.plain_reach:
+                unrooted.add(pair[0])
+    dropped: set[Principal] = set()
+    if not unrooted:
+        return dropped
+    doomed = [pair for pair in added if pair[0] in unrooted]
+    for g in unrooted:
+        for k in state.outgoing.get(g, ()):
+            doomed.append((g, k))
+    for pair in doomed:
+        if pair in pos:
+            del pos[pair]
+            dropped.add(pair[1])
+        if pair in neg:
+            del neg[pair]
+    return dropped
 
 
 def _changes(before: Mapping, after: _Working) -> tuple[frozenset, frozenset]:
     """The values removed from and added to `before`, from the touched pairs."""
+    if not after.touched:
+        return _NOTHING, _NOTHING
     removed, added = [], []
     for pair in after.touched:
         old, new = before.get(pair), after.get(pair)
@@ -152,13 +288,49 @@ def _changes(before: Mapping, after: _Working) -> tuple[frozenset, frozenset]:
 
 
 def _finish(
-    pre: AuthorizationState, pos: _Working, neg: _Working
+    pre: AuthorizationState, pos: _Working, neg: _Working, repaired: bool = False
 ) -> tuple[AuthorizationState, RevocationDelta]:
-    """The post-state and the delta, both from the keys the operation touched."""
+    """The post-state and the delta, both from the keys the operation touched.
+
+    The post-state is handed its orphans when they are known: none after a
+    repair, else the pre-state's if those were computed and the delta leaves
+    them as they were.
+    """
     deleted_pos, issued_pos = _changes(pre.positive_by_pair, pos)
     deleted_neg, issued_neg = _changes(pre.negative_by_pair, neg)
-    post = AuthorizationState._trusted(pre.soa, pre.principals, pre.time + 1, pos, neg)
+    if repaired:
+        orphans = _NOTHING
+    else:
+        orphans = pre.__dict__.get("orphans")  # present only if already computed
+        if orphans is not None and (deleted_pos or (orphans and issued_pos)):
+            orphans = _orphans_after(pos, deleted_pos, issued_pos, orphans)
+    post = AuthorizationState._trusted(
+        pre.soa, pre.principals, pre.time + 1, pos, neg, orphans
+    )
     return post, RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
+
+
+def _orphans_after(
+    pos: Mapping[Pair, PositiveAuth],
+    deleted: frozenset[PositiveAuth],
+    issued: frozenset[PositiveAuth],
+    orphans: frozenset[Principal],
+) -> frozenset[Principal] | None:
+    """The orphans after an operation that repaired nothing, or None if the
+    positive entries it changed may have changed them.
+
+    Such an operation writes entries only for grantors that are rooted or
+    already grantors, so only its TT entries matter: a removed or weakened
+    one may cut a chain, a new one may root an orphan.
+    """
+    for auth in deleted:
+        if auth.kind is _TT:
+            now = pos.get((auth.grantor, auth.grantee))
+            if now is None or now.kind is not _TT:
+                return None
+    if orphans and any(auth.kind is _TT for auth in issued):
+        return None
+    return orphans
 
 
 # Elementary operations.
@@ -218,7 +390,7 @@ def apply_scheme(
     config: EngineConfig | None = None,
 ) -> tuple[AuthorizationState, RevocationDelta]:
     """Apply one revocation scheme; the pre-state is returned untouched on error."""
-    config = config or EngineConfig()
+    config = config or _DEFAULT_CONFIG
     scheme, i, j = request.scheme, request.revoker, request.target
     _require_principals(state, i, j)
     if (i, j) not in state.positive_by_pair:
@@ -238,13 +410,13 @@ def apply_scheme(
     _kill(pos, neg, (i, j), label)
     if scheme.is_local:
         if scheme.is_strong:
-            _dominate(state, pos, neg, _independents(state, i), (j,), label)
+            _dominate(state, pos, neg, _dependents(state, i), (j,), label)
         _reroot(state, pos, neg, i, j, label)
     if scheme.is_strong and not scheme.is_local:
-        _strong_global(state, pos, neg, _independents(state, i), j, label, config)
+        _strong_global(state, pos, neg, _dependents(state, i), j, label, config)
     elif label is None:  # SGD repairs in every round of its cascade
-        _repair(state.soa, pos, neg)
-    return _finish(state, pos, neg)
+        _repair(state, pos, neg, pos.touched | neg.touched)
+    return _finish(state, pos, neg, repaired=label is None)
 
 
 def _kill(pos: PosMap, neg: NegMap, pair: Pair, label: RevocationLabel | None) -> bool:
@@ -263,18 +435,20 @@ def _dominate(
     state: AuthorizationState,
     pos: PosMap,
     neg: NegMap,
-    ind: frozenset[Principal],
+    dependents: set[Principal],
     targets: Iterable[Principal],
     label: RevocationLabel | None,
 ) -> bool:
     """Strong dominance: kill every grant into a target still standing whose
-    grantor is not independent of the revoker.  True if anything was killed."""
+    grantor is not independent of the revoker: inactive, or among its
+    `dependents`.  True if anything was killed."""
+    active = state.active_reach
     killed = False
     for k in targets:
         for auth in state.incoming.get(k, ()):
-            pair = (auth.grantor, k)
-            if auth.grantor not in ind and pair in pos:
-                killed |= _kill(pos, neg, pair, label)
+            g = auth.grantor
+            if (g in dependents or g not in active) and (g, k) in pos:
+                killed |= _kill(pos, neg, (g, k), label)
     return killed
 
 
@@ -291,23 +465,33 @@ def _reroot(
 
     Activity is judged after all kills and before any reissue.
     """
-    soa = state.soa
+    # Only kills have happened so far, so reach can only have shrunk.
+    grantees = state.outgoing.get(j, ())
     dropped_neg: list[NegativeAuth] = []
-    if (i, j) not in pos and j in state.plain_reach and j not in _reach(soa, pos):
+    if (
+        (i, j) not in pos
+        and j in state.plain_reach
+        and j in _recheck(state, pos, neg, pos.touched, False)[0]
+    ):
         # Structural loss of j: its own grants disappear with it.
-        for pair in [p for p in pos if p[0] == j]:
-            del pos[pair]
-        for pair in [p for p in neg if p[0] == j]:
-            dropped_neg.append(neg.pop(pair))
-    elif j in _reach(soa, pos, neg):
+        for k in grantees:
+            if (j, k) in pos:
+                del pos[(j, k)]
+            if (j, k) in neg:
+                dropped_neg.append(neg.pop((j, k)))
+    elif (
+        j in state.active_reach
+        and j not in _recheck(state, pos, neg, pos.touched | neg.touched, True)[0]
+    ):
         return
 
     j_was_active = j in state.active_reach
     blocked_pre = state.negative_by_pair
-    for pair, auth in state.positive_by_pair.items():
-        if pair[0] != j or pair[1] == i:
+    for k in grantees:
+        pair = (j, k)
+        auth = state.positive_by_pair.get(pair)
+        if auth is None or k == i:
             continue
-        k = pair[1]
         if j_was_active and pair not in blocked_pre:
             _merge_reissue(pos, neg, i, k, auth.kind, label)
         elif pair not in pos and (i, k) not in pos:
@@ -360,7 +544,7 @@ def _strong_global(
     state: AuthorizationState,
     pos: PosMap,
     neg: NegMap,
-    ind: frozenset[Principal],
+    dependents: set[Principal],
     j: Principal,
     label: RevocationLabel | None,
     config: EngineConfig,
@@ -371,32 +555,34 @@ def _strong_global(
 
     A delete cascade finds them as j plus the grantees `_repair` dropped; a
     negative one as the grantees of pre-state-active grants now blocked or
-    out of an inactive grantor.  Each principal is dominated once: `ind` is
-    fixed and a cascade only ever deletes or only ever blocks, so a second
-    pass over the same grantee would kill nothing.
+    out of a grantor that lost its active chain.  Each principal is dominated
+    once: `dependents` is fixed and a cascade only ever deletes or only ever
+    blocks, so a second pass over the same grantee would kill nothing.
     """
-    soa = state.soa
     active_pre = state.active_reach
+    before = state.positive_by_pair
     blocked_pre = state.negative_by_pair
     killed_into = {j}
     dominated: set[Principal] = set()
     while True:
         if label is None:
-            killed_into |= _repair(soa, pos, neg)
+            killed_into |= _repair(state, pos, neg, pos.touched | neg.touched)
         else:
-            act = _reach(soa, pos, neg)
-            killed_into = {
-                pair[1]
-                for pair in state.positive_by_pair
-                if pair[0] in active_pre
-                and pair not in blocked_pre
-                and (pair in neg or pair[0] not in act)
-            }
+            lost, _ = _recheck(state, pos, neg, neg.touched, True)
+            killed_into = set()
+            for pair in neg.touched:
+                if pair in neg and pair[0] in active_pre:
+                    if pair in before and pair not in blocked_pre:
+                        killed_into.add(pair[1])
+            for g in lost:
+                for k in state.outgoing.get(g, ()):
+                    if (g, k) in before and (g, k) not in blocked_pre:
+                        killed_into.add(k)
         if not config.sgd_descendant_dominance:
             killed_into &= {j}
         targets = killed_into - dominated
         dominated |= targets
-        if not _dominate(state, pos, neg, ind, targets, label):
+        if not _dominate(state, pos, neg, dependents, targets, label):
             return
 
 
@@ -441,8 +627,8 @@ def undo_negative(
     for pair in restored:
         if pair not in neg:
             neg[pair] = NegativeAuth(*pair)
-    _repair(state.soa, pos, neg)
-    return _finish(state, pos, neg)
+    _repair(state, pos, neg, pos.touched | neg.touched)
+    return _finish(state, pos, neg, repaired=True)
 
 
 # Timelines.

@@ -6,12 +6,13 @@ pair carries an FF.  A positive authorization is active when its own pair is
 not blocked and its grantor holds an active chain.  Access follows either from
 an active chain or from an unblocked TF edge out of a principal with one.
 
-Rooted reachability, plain and active, is one worklist pass over the state's
-adjacency index, run at most once per state and kept with it (states are
-immutable); one pass answers the query for every principal at once, which the
-revocation engine exploits.  Access then needs only the grantee's incoming
-edges, and edge activity a set lookup.  Only independence, which excises a
-principal, runs a fresh pass per query.
+Rooted reachability, plain and active, is one breadth-first pass over the
+state's adjacency index, run at most once per state and kept with it (states
+are immutable) as the pass's parent map; one pass answers the query for every
+principal at once, and the revocation engine rechecks only the subtrees of
+that BFS tree an operation cuts.  Access then needs only the grantee's
+incoming edges, and edge activity a dict lookup.  Only independence, which
+excises a principal, runs a fresh pass per query.
 """
 
 from __future__ import annotations
@@ -24,19 +25,19 @@ from .model import AuthorizationState, PositiveKind, Principal, _bfs
 
 def reachable_plain(state: AuthorizationState) -> frozenset[Principal]:
     """Principals with a rooted delegation chain, negatives ignored."""
-    return state.plain_reach
+    return frozenset(state.plain_reach)
 
 
 def reachable_active(state: AuthorizationState) -> frozenset[Principal]:
     """Principals with an active rooted delegation chain."""
-    return state.active_reach
+    return frozenset(state.active_reach)
 
 
 def reachable_active_avoiding(
     state: AuthorizationState, avoid: Principal
 ) -> frozenset[Principal]:
     """Active-chain reachability with one principal excised from the graph."""
-    return _bfs(state.active_children, state.soa, avoid)
+    return frozenset(_bfs(state.active_children, state.soa, avoid))
 
 
 def _require_principals(state: AuthorizationState, *principals: Principal) -> None:
@@ -87,7 +88,7 @@ def is_independent(state: AuthorizationState, j: Principal, i: Principal) -> boo
     _require_principals(state, j, i)
     if j == state.soa:
         return True
-    return j in reachable_active_avoiding(state, i)
+    return j in _bfs(state.active_children, state.soa, i)
 
 
 def is_auth_active(

@@ -9,8 +9,11 @@ from authgraph import (
     AuthorizationState,
     EngineConfig,
     GrantOp,
+    NegativeAuth,
     NegativeOp,
+    PositiveAuth,
     PositiveKind,
+    RevocationLabel,
     RevocationRequest,
     RevokeOp,
     Scheme,
@@ -149,7 +152,7 @@ def test_repair_is_idempotent_on_engine_output(program):
     state = interpret(program)
     pos = dict(state.positive_by_pair)
     neg = dict(state.negative_by_pair)
-    revocation._repair(state.soa, pos, neg)
+    revocation._repair(state, pos, neg, ())
     assert pos == dict(state.positive_by_pair)
     assert neg == dict(state.negative_by_pair)
 
@@ -195,3 +198,90 @@ def test_rights_profile_matches_pointwise_queries(program):
             has_access_right(state, principal),
             has_delegation_right(state, principal),
         )
+
+
+# Mark-and-recheck reachability against a from-scratch pass.
+
+TT, TF = PositiveKind.TT, PositiveKind.TF
+EDIT_KINDS = ("delete", "block", "unblock", "rewrite", "reissue")
+
+
+def reference_reach(pos, blocked, soa, avoid=None):
+    """Rooted reachability computed from nothing: the TT adjacency of `pos`
+    less the `blocked` pairs, then a BFS from `soa` with `avoid` excised."""
+    adjacency = {}
+    for (grantor, grantee), auth in pos.items():
+        if auth.kind is TT and (grantor, grantee) not in blocked:
+            adjacency.setdefault(grantor, []).append(grantee)
+    if soa == avoid:
+        return set()
+    seen, queue = {soa}, [soa]
+    for p in queue:
+        for q in adjacency.get(p, ()):
+            if q != avoid and q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
+
+
+@st.composite
+def edited_states(draw):
+    """A public-constructor state (cycles, orphans and blocks all allowed),
+    working copies of its pair maps after random edits, and an excised
+    principal or None."""
+    names = "ABCDEFG"[: draw(st.integers(2, 7))]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    kinds = draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from([TT, TF])))
+    blocked = draw(st.sets(st.sampled_from(pairs)))
+    state = AuthorizationState(
+        soa="A",
+        principals=frozenset(names),
+        positive=tuple(PositiveAuth(g, k, kind) for (g, k), kind in kinds.items()),
+        negative=tuple(NegativeAuth(g, k) for g, k in blocked),
+    )
+    if draw(st.booleans()):  # indexes built before or only during the recheck
+        for name in ("plain_reach", "active_reach", "incoming", "outgoing", "orphans"):
+            getattr(state, name)
+    pos = revocation._Working(state.positive_by_pair)
+    neg = revocation._Working(state.negative_by_pair)
+    label = RevocationLabel("A", "B", state.time)
+    edits = st.tuples(st.sampled_from(EDIT_KINDS), st.sampled_from(pairs), st.sampled_from([TT, TF]))
+    for edit, pair, kind in draw(st.lists(edits, max_size=8)):
+        if edit == "delete" and pair in pos:
+            del pos[pair]
+        elif edit == "block" and pair not in neg:
+            neg[pair] = NegativeAuth(*pair, label)
+        elif edit == "unblock" and pair in neg:
+            del neg[pair]
+        elif edit == "rewrite" and pair in pos:
+            pos[pair] = PositiveAuth(*pair, TF if pos[pair].kind is TT else TT)
+        elif edit == "reissue":
+            pos[pair] = PositiveAuth(*pair, kind, label)
+    avoid = draw(st.none() | st.sampled_from(names))
+    return state, pos, neg, avoid
+
+
+@given(edited_states(), st.booleans())
+@settings(max_examples=400)
+def test_recheck_matches_a_full_pass(case, active):
+    state, pos, neg, avoid = case
+    blocked_before = state.negative_by_pair if active else ()
+    before = reference_reach(state.positive_by_pair, blocked_before, state.soa)
+    after = reference_reach(pos, neg if active else (), state.soa, avoid)
+    lost, gained = revocation._recheck(
+        state, pos, neg, pos.touched | neg.touched, active, avoid
+    )
+    assert lost == before - after
+    assert gained == after - before
+
+
+@given(edited_states())
+@settings(max_examples=200)
+def test_repair_matches_a_full_pass(case):
+    state, pos, neg, _ = case
+    reach = reference_reach(pos, (), state.soa)
+    expected_pos = {pair: auth for pair, auth in pos.items() if pair[0] in reach}
+    expected_neg = {pair: auth for pair, auth in neg.items() if pair[0] in reach}
+    grantees = {grantee for grantor, grantee in pos if grantor not in reach}
+    assert revocation._repair(state, pos, neg, pos.touched | neg.touched) == grantees
+    assert dict(pos) == expected_pos and dict(neg) == expected_neg

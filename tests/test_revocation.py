@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from authgraph import (
     MissingAuthorizationError,
     NegativeOp,
     NothingToUndoError,
+    PositiveAuth,
     PositiveKind,
     RevocationRequest,
     RevokeOp,
@@ -39,6 +41,7 @@ from authgraph import (
     undo_negative,
     validate_connectivity,
 )
+from authgraph import model, revocation, semantics
 from authgraph.io import serialize_state
 from authgraph.semantics import reachable_active
 
@@ -139,6 +142,109 @@ def test_engine_states_sort_entries_on_first_read(revocation_base):
         )
         assert post.positive == rebuilt.positive, name
         assert post.negative == rebuilt.negative, name
+
+
+def test_engine_post_states_round_trip_through_pickle(revocation_base):
+    # A post-state keeps the engine's working maps; they pickle as plain dicts.
+    negative_schemes = {s.name for s in Scheme if not s.is_delete}
+    for name, post in _each_operation(revocation_base):
+        back = pickle.loads(pickle.dumps(post))
+        assert states_equal(back, post) and back.time == post.time, name
+        assert type(back.positive_by_pair) is dict and type(back.negative_by_pair) is dict
+        if name in negative_schemes:
+            undone, _ = undo_negative(back, "A", "B")
+            assert states_equal(undone, undo_negative(post, "A", "B")[0]), name
+
+
+_INDEXES = (
+    "chain_children",
+    "active_children",
+    "plain_reach",
+    "active_reach",
+    "incoming",
+    "outgoing",
+    "orphans",
+)
+
+
+def _indexed(state):
+    for name in _INDEXES:
+        getattr(state, name)
+    return state
+
+
+def test_operations_on_an_indexed_state_build_no_adjacency(revocation_base, monkeypatch):
+    # Every scheme and undo rechecks reachability from the pre-state's own
+    # indexes: no TT adjacency rebuilt from a working map, no fresh BFS.
+    base = _indexed(revocation_base)
+    cases = []
+    for edge in base.positive:
+        i, j = edge.grantor, edge.grantee
+        for scheme in Scheme:
+            for flag in (True, False):
+                config = EngineConfig(sgd_descendant_dominance=flag)
+                cases.append((scheme, i, j, config))
+    negated = [
+        (_indexed(apply_scheme(base, RevocationRequest(scheme, i, j), config)[0]), i, j)
+        for scheme, i, j, config in cases
+        if not scheme.is_delete and (i, j) not in base.negative_by_pair
+    ]
+    calls = []
+    for module in (model, semantics, revocation):
+        for name in ("_bfs", "_tt_adjacency"):
+            real = getattr(model, name)
+            counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+            monkeypatch.setattr(module, name, counted, raising=False)
+    for scheme, i, j, config in cases:
+        try:
+            apply_scheme(base, RevocationRequest(scheme, i, j), config)
+        except AuthGraphError:
+            pass
+    for post, i, j in negated:
+        undo_negative(post, i, j)
+    assert len(negated) > 0 and calls == []
+
+
+class TestDisconnectedPreState:
+    """A document may carry an orphan: C holds only a TF, yet grants D a TT.
+
+    Repair drops it wherever an operation repairs, exactly as a full
+    reachability pass over the post-state would.
+    """
+
+    @pytest.fixture
+    def orphaned(self):
+        return AuthorizationState(
+            soa="A",
+            principals=frozenset("ABCD"),
+            positive=(
+                PositiveAuth("A", "B", TT),
+                PositiveAuth("A", "C", TF),
+                PositiveAuth("C", "D", TT),
+            ),
+            negative=(),
+        )
+
+    def test_delete_scheme_drops_the_orphan(self, orphaned):
+        post, delta = apply_scheme(orphaned, RevocationRequest(Scheme.WLD, "A", "C"))
+        assert edges(post) == {("A", "B", "TT")}
+        assert {(a.grantor, a.grantee) for a in delta.deleted_positive} == {
+            ("A", "C"),
+            ("C", "D"),
+        }
+        assert validate_connectivity(post) == []
+
+    def test_negative_scheme_keeps_the_orphan(self, orphaned):
+        post, _ = apply_scheme(orphaned, RevocationRequest(Scheme.WGN, "A", "B"))
+        assert ("C", "D") in post.positive_by_pair
+
+    @pytest.mark.parametrize("scheme", [Scheme.WLN, Scheme.WGN, Scheme.SLN, Scheme.SGN])
+    def test_undo_drops_the_orphan(self, orphaned, scheme):
+        post, _ = apply_scheme(orphaned, RevocationRequest(scheme, "A", "B"))
+        back, delta = undo_negative(post, "A", "B")
+        assert edges(back) == {("A", "B", "TT"), ("A", "C", "TF")}
+        assert blocks(back) == set()
+        assert {(a.grantor, a.grantee) for a in delta.deleted_positive} == {("C", "D")}
 
 
 class TestSchemeSnapshots:

@@ -23,7 +23,7 @@ its position (`positive[3]: unknown principal 'Z'`), and keeps the pair maps
 it checks duplicates with.  `parse_state` checks only the document's shape
 and defers to it.  The engine, which derives each state from a valid one,
 uses the private trusted path instead and hands it only the pair maps, plus
-the state's orphan grantors when the operation already knows them.
+the state's orphan grantors, which it derives from the pre-state's.
 
 Every other index is built lazily from the maps, once per state: TT
 adjacency (plain and active), the grantees by grantor over both maps
@@ -32,7 +32,8 @@ reachability.  Reachability is kept as the parent map of its BFS (`{p: the
 principal whose TT edge first reached p}`, the SOA mapped to None), so
 membership reads stay cheap and the engine can tell which principals hang
 below a given tree edge.  `orphans` names the grantors without a plain rooted
-chain; only a state that never went through the engine's repair has any.
+chain.  A document may carry some, and so may an engine state whose negative
+scheme weakened a TT edge; a repair leaves none.
 """
 
 from __future__ import annotations
@@ -376,8 +377,12 @@ def _bfs(
 
 
 def new_state(soa: Principal, principals: Iterable[Principal]) -> AuthorizationState:
-    """Fresh state at time 0 with no authorizations."""
-    return AuthorizationState(soa=soa, principals=frozenset(principals), positive=(), negative=())
+    """Fresh state at time 0 with no authorizations, hence no orphans: the
+    engine hands every state it derives its orphans, so a lineage that starts
+    here never computes them."""
+    state = AuthorizationState(soa=soa, principals=frozenset(principals), positive=(), negative=())
+    state.__dict__["orphans"] = frozenset()
+    return state
 
 
 def states_equal(a: AuthorizationState, b: AuthorizationState) -> bool:

@@ -35,7 +35,8 @@ Design notes that the code below relies on:
   resulting state never carries structurally orphaned authorizations.  Only
   three kinds of grantor can be unrooted: one the operation cut off, one of a
   pair new to the state, and one of the pre-state's own orphans (a document
-  may carry them; an engine state after a repair has none).
+  may carry them, and so may the post-state of a negative scheme that
+  weakened a TT edge; a repair leaves none).
 * Every operation works on copies of the pre-state's pair maps that record
   each key written or deleted.  The delta is built from those keys alone, and
   the post-state takes the working maps as its pair maps; nothing is sorted.
@@ -45,8 +46,8 @@ Design notes that the code below relies on:
   pre-state's BFS parent map and the pairs the working copies touched: only
   the tree subtrees under cut edges are rechecked, so no adjacency is rebuilt
   from a working map and the cost follows the region an operation affects.
-  Each post-state is handed its orphan set whenever the operation knows it,
-  so its own repair later needs no pass of its own.
+  Every post-state is handed its orphan set, derived from the pre-state's,
+  so a later repair in its lineage needs no pass of its own.
 * Negative-scheme additions carry a label identifying the operation.  A
   reissue that has to displace existing unlabelled content on its pair (a kind
   upgrade, or clearing a standing FF so the conveyed right stays live) records
@@ -227,7 +228,9 @@ def _recheck(
 def _dependents(state: AuthorizationState, i: Principal) -> set[Principal]:
     """Active principals other than the SOA whose every active chain runs
     through i, i included."""
-    if i == state.soa:  # every chain starts there: no marking walk over the whole tree
+    if i == state.soa:
+        # Needed, not a shortcut: the recheck below would excise the SOA and
+        # count it among the lost, and `_dominate` would kill its own grants.
         return state.active_reach.keys() - {i}
     lost, _ = _recheck(state, state.positive_by_pair, state.negative_by_pair, (), True, i)
     return lost
@@ -292,18 +295,13 @@ def _finish(
 ) -> tuple[AuthorizationState, RevocationDelta]:
     """The post-state and the delta, both from the keys the operation touched.
 
-    The post-state is handed its orphans when they are known: none after a
-    repair, else the pre-state's if those were computed and the delta leaves
-    them as they were.
+    Every post-state is handed its orphans, so no later repair in its lineage
+    has to find them with a pass of its own: none after a repair, else those
+    `_orphans_after` derives from the pre-state's.
     """
     deleted_pos, issued_pos = _changes(pre.positive_by_pair, pos)
     deleted_neg, issued_neg = _changes(pre.negative_by_pair, neg)
-    if repaired:
-        orphans = _NOTHING
-    else:
-        orphans = pre.__dict__.get("orphans")  # present only if already computed
-        if orphans is not None and (deleted_pos or (orphans and issued_pos)):
-            orphans = _orphans_after(pos, deleted_pos, issued_pos, orphans)
+    orphans = _NOTHING if repaired else _orphans_after(pre, pos, deleted_pos, issued_pos)
     post = AuthorizationState._trusted(
         pre.soa, pre.principals, pre.time + 1, pos, neg, orphans
     )
@@ -311,26 +309,30 @@ def _finish(
 
 
 def _orphans_after(
-    pos: Mapping[Pair, PositiveAuth],
+    pre: AuthorizationState,
+    pos: _Working,
     deleted: frozenset[PositiveAuth],
     issued: frozenset[PositiveAuth],
-    orphans: frozenset[Principal],
-) -> frozenset[Principal] | None:
-    """The orphans after an operation that repaired nothing, or None if the
-    positive entries it changed may have changed them.
+) -> frozenset[Principal]:
+    """The orphans after an operation that repaired nothing.
 
-    Such an operation writes entries only for grantors that are rooted or
-    already grantors, so only its TT entries matter: a removed or weakened
-    one may cut a chain, a new one may root an orphan.
+    Such an operation removes no pair from the maps, so only its TT entries
+    can change the orphans: a removed or weakened one may cut a chain, a new
+    one may root an orphan.  Only then are the chains rechecked.  A grantor
+    new to the maps never loses its chain: grants and plain negatives cut
+    nothing, and a scheme's new pairs start at the revoker, a grantor already.
     """
+    orphans = pre.orphans
+    cut = False
     for auth in deleted:
         if auth.kind is _TT:
             now = pos.get((auth.grantor, auth.grantee))
-            if now is None or now.kind is not _TT:
-                return None
-    if orphans and any(auth.kind is _TT for auth in issued):
-        return None
-    return orphans
+            cut |= now is None or now.kind is not _TT
+    if not cut and not (orphans and any(auth.kind is _TT for auth in issued)):
+        return orphans
+    lost, gained = _recheck(pre, pos, (), pos.touched, False)
+    grantors = pre.outgoing
+    return frozenset(orphans - gained | {p for p in lost if p in grantors})
 
 
 # Elementary operations.

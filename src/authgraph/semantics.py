@@ -33,13 +33,6 @@ def reachable_active(state: AuthorizationState) -> frozenset[Principal]:
     return frozenset(state.active_reach)
 
 
-def reachable_active_avoiding(
-    state: AuthorizationState, avoid: Principal
-) -> frozenset[Principal]:
-    """Active-chain reachability with one principal excised from the graph."""
-    return frozenset(_bfs(state.active_children, state.soa, avoid))
-
-
 def _require_principals(state: AuthorizationState, *principals: Principal) -> None:
     for p in principals:
         if p not in state.principals:
@@ -146,7 +139,6 @@ __all__ = [
     "is_auth_active",
     "is_independent",
     "reachable_active",
-    "reachable_active_avoiding",
     "reachable_plain",
     "rooted_chain_exists",
     "validate_connectivity",

@@ -49,10 +49,11 @@ def programs(draw, max_len=24, include_undo=True, include_negatives=True):
     return n, seeds, include_undo, include_negatives
 
 
-def interpret(program, step_callback=None):
-    """Deterministically replay a seed program, skipping refused operations."""
+def interpret(program, step_callback=None, start=None):
+    """Deterministically replay a seed program, skipping refused operations,
+    from `start` (whose principals must be the program's) or a fresh state."""
     n, seeds, include_undo, include_negatives = program
-    state = new_state(NAMES[0], list(NAMES[:n]))
+    state = new_state(NAMES[0], list(NAMES[:n])) if start is None else start
     for action, a, b, c in seeds:
         grantor, grantee = NAMES[a % n], NAMES[b % n]
         if action < 45:
@@ -224,21 +225,27 @@ def reference_reach(pos, blocked, soa, avoid=None):
     return seen
 
 
-@st.composite
-def edited_states(draw):
-    """A public-constructor state (cycles, orphans and blocks all allowed),
-    working copies of its pair maps after random edits, and an excised
-    principal or None."""
-    names = "ABCDEFG"[: draw(st.integers(2, 7))]
+def constructed_states(draw, names):
+    """A public-constructor state over `names` rooted at A, with cycles,
+    orphans and blocks all allowed."""
     pairs = [(a, b) for a in names for b in names if a != b]
     kinds = draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from([TT, TF])))
     blocked = draw(st.sets(st.sampled_from(pairs)))
-    state = AuthorizationState(
+    return AuthorizationState(
         soa="A",
         principals=frozenset(names),
         positive=tuple(PositiveAuth(g, k, kind) for (g, k), kind in kinds.items()),
         negative=tuple(NegativeAuth(g, k) for g, k in blocked),
     )
+
+
+@st.composite
+def edited_states(draw):
+    """A public-constructor state, working copies of its pair maps after
+    random edits, and an excised principal or None."""
+    names = "ABCDEFG"[: draw(st.integers(2, 7))]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    state = constructed_states(draw, names)
     if draw(st.booleans()):  # indexes built before or only during the recheck
         for name in ("plain_reach", "active_reach", "incoming", "outgoing", "orphans"):
             getattr(state, name)
@@ -285,3 +292,24 @@ def test_repair_matches_a_full_pass(case):
     grantees = {grantee for grantor, grantee in pos if grantor not in reach}
     assert revocation._repair(state, pos, neg, pos.touched | neg.touched) == grantees
     assert dict(pos) == expected_pos and dict(neg) == expected_neg
+
+
+# Orphan sets handed from each state to the next.
+
+
+def check_handed_orphans(pre, op, delta, post):
+    assert "orphans" in post.__dict__, f"{op} handed on no orphan set"
+    fresh = post.replace_authorizations().orphans
+    assert post.__dict__["orphans"] == fresh, op
+
+
+@given(programs())
+def test_every_engine_state_carries_its_orphans(program):
+    interpret(program, check_handed_orphans)
+
+
+@given(programs(), st.data())
+@settings(max_examples=200)
+def test_orphans_handed_on_from_a_constructed_state(program, data):
+    start = constructed_states(data.draw, NAMES[: program[0]])
+    interpret(program, check_handed_orphans, start)

@@ -205,6 +205,37 @@ def test_operations_on_an_indexed_state_build_no_adjacency(revocation_base, monk
     assert len(negated) > 0 and calls == []
 
 
+def test_undo_on_a_fresh_lineage_state_builds_no_index(monkeypatch):
+    # A lineage hands every state its orphans, so neither WGN nor an undo
+    # whose edits cut and restore no TT edge reads an index of its fresh
+    # pre-state.
+    state = new_state("A", "ABCD")
+    for grantor, grantee in (("A", "B"), ("B", "C"), ("C", "D")):
+        state, _ = grant(state, grantor, grantee, TT)
+    calls = []
+    for name in ("_bfs", "_tt_adjacency"):
+        real = getattr(model, name)
+        counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+        monkeypatch.setattr(model, name, counted)
+    negated, _ = apply_scheme(state, RevocationRequest(Scheme.WGN, "B", "C"))
+    back, _ = undo_negative(negated, "B", "C")
+    assert calls == []
+    assert states_equal(back, state)
+
+
+def orphaned_document_state():
+    return AuthorizationState(
+        soa="A",
+        principals=frozenset("ABCD"),
+        positive=(
+            PositiveAuth("A", "B", TT),
+            PositiveAuth("A", "C", TF),
+            PositiveAuth("C", "D", TT),
+        ),
+        negative=(),
+    )
+
+
 class TestDisconnectedPreState:
     """A document may carry an orphan: C holds only a TF, yet grants D a TT.
 
@@ -214,16 +245,7 @@ class TestDisconnectedPreState:
 
     @pytest.fixture
     def orphaned(self):
-        return AuthorizationState(
-            soa="A",
-            principals=frozenset("ABCD"),
-            positive=(
-                PositiveAuth("A", "B", TT),
-                PositiveAuth("A", "C", TF),
-                PositiveAuth("C", "D", TT),
-            ),
-            negative=(),
-        )
+        return orphaned_document_state()
 
     def test_delete_scheme_drops_the_orphan(self, orphaned):
         post, delta = apply_scheme(orphaned, RevocationRequest(Scheme.WLD, "A", "C"))
@@ -245,6 +267,35 @@ class TestDisconnectedPreState:
         assert edges(back) == {("A", "B", "TT"), ("A", "C", "TF")}
         assert blocks(back) == set()
         assert {(a.grantor, a.grantee) for a in delta.deleted_positive} == {("C", "D")}
+
+
+class TestOrphanHandOff:
+    """Each operation hands its post-state the orphans a fresh state would
+    compute, also when the pre-state has some."""
+
+    @pytest.fixture
+    def orphaned(self):
+        return orphaned_document_state()
+
+    @pytest.mark.parametrize("scheme", [Scheme.WLN, Scheme.WGN, Scheme.SLN, Scheme.SGN])
+    def test_negative_scheme_hands_on_the_orphans(self, orphaned, scheme):
+        assert orphaned.orphans == {"C"}  # computed before the operation
+        post, _ = apply_scheme(orphaned, RevocationRequest(scheme, "A", "B"))
+        assert post.__dict__["orphans"] == {"C"} == post.replace_authorizations().orphans
+
+    @pytest.mark.parametrize("scheme", [Scheme.WLN, Scheme.SLN])
+    def test_weakening_reissue_orphans_its_grantee(self, scheme):
+        # the TF reissue overwrites the blocked TT (A, C), so C, which grants
+        # (C, A), loses its plain chain; undo restores the TT and roots C again
+        state = sample_states.downgrade_merge_corner()
+        assert state.orphans == set()
+        post, _ = apply_scheme(state, RevocationRequest(scheme, "A", "B"))
+        assert post.positive_by_pair[("A", "C")].kind is TF
+        assert post.__dict__["orphans"] == {"C"} == post.replace_authorizations().orphans
+        back, _ = undo_negative(post, "A", "B")
+        assert states_equal(back, state) and back.__dict__["orphans"] == set()
+        regranted, _ = grant(post, "A", "C", TT)
+        assert regranted.__dict__["orphans"] == set()
 
 
 class TestSchemeSnapshots:

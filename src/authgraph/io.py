@@ -44,12 +44,17 @@ def _is_utf8(text: str) -> bool:
     return True
 
 
-def _str_member(obj: dict[str, Any], key: str, where: str) -> str:
+def _text_member(obj: dict[str, Any], key: str, where: str) -> str:
     if key not in obj:
         raise ParseError(f"{where}: missing member {key!r}")
     value = obj[key]
     if not isinstance(value, str):
         raise ParseError(f"{where}: member {key!r} must be text")
+    return value
+
+
+def _str_member(obj: dict[str, Any], key: str, where: str) -> str:
+    value = _text_member(obj, key, where)
     if not _is_utf8(value):
         raise ParseError(f"{where}: member {key!r} is not UTF-8 text")
     return value
@@ -58,7 +63,7 @@ def _str_member(obj: dict[str, Any], key: str, where: str) -> str:
 _LABEL_MEMBERS = frozenset({"from", "to", "seq", "was_kind", "was_blocked"})
 
 
-def _parse_label(doc: Any, where: str) -> RevocationLabel:
+def _parse_label(doc: Any, where: str, principals: frozenset[str]) -> RevocationLabel:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: label must be an object")
     for key in doc:
@@ -80,22 +85,28 @@ def _parse_label(doc: Any, where: str) -> RevocationLabel:
     restores_blocked = doc.get("was_blocked", False)
     if not isinstance(restores_blocked, bool):
         raise ParseError(f"{where}: label member 'was_blocked' must be a boolean")
-    return RevocationLabel(
+    label = RevocationLabel(
         root_grantor,
         root_grantee,
         seq,
         restores_kind=restores_kind,
         restores_blocked=restores_blocked,
     )
+    for root in label.root:
+        if root not in principals:
+            raise ParseError(f"{where}: label root {root!r} is not a principal")
+    return label
 
 
 def _parse_endpoints(doc: Any, where: str, allowed: frozenset[str]) -> tuple[str, str]:
+    """An entry's grantor and grantee.  They are not checked for UTF-8: the
+    constructor requires each to be a principal, and principals are."""
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: entry must be an object")
     for key in doc:
         if key not in allowed:
             raise ParseError(f"{where}: unknown member {key!r}")
-    return _str_member(doc, "from", where), _str_member(doc, "to", where)
+    return _text_member(doc, "from", where), _text_member(doc, "to", where)
 
 
 def _load(text: str) -> Any:
@@ -116,9 +127,10 @@ def parse_state(text: str) -> AuthorizationState:
     """Parse a state document and build it through the public constructor.
 
     The checks made here are about the document: members, types and kind
-    names, duplicate names in `principals`, and `time`.  Whether the state is
-    well-formed is the constructor's decision; any `ModelError`, from it or
-    from an entry's value type, becomes a `ParseError` naming the entry.
+    names, duplicate names in `principals`, label roots that name no
+    principal, and `time`.  Whether the state is well-formed is the
+    constructor's decision; any `ModelError`, from it or from an entry's
+    value type, becomes a `ParseError` naming the entry.
     """
     doc = _load(text)
     if not isinstance(doc, dict):
@@ -163,7 +175,7 @@ def parse_state(text: str) -> AuthorizationState:
             raw_kind = _str_member(entry, "kind", where)
             if raw_kind not in PositiveKind.__members__:
                 raise ParseError(f"{where}: member 'kind' must be \"TT\" or \"TF\"")
-            label = _parse_label(entry["label"], where) if "label" in entry else None
+            label = _parse_label(entry["label"], where, principals) if "label" in entry else None
             positive.append(PositiveAuth(grantor, grantee, PositiveKind[raw_kind], label))
     except ModelError as exc:
         raise ParseError(f"{where}: {exc}") from exc
@@ -177,7 +189,7 @@ def parse_state(text: str) -> AuthorizationState:
         for index, entry in enumerate(doc["negative"]):
             where = f"negative[{index}]"
             grantor, grantee = _parse_endpoints(entry, where, _NEGATIVE_MEMBERS)
-            label = _parse_label(entry["label"], where) if "label" in entry else None
+            label = _parse_label(entry["label"], where, principals) if "label" in entry else None
             negative.append(NegativeAuth(grantor, grantee, label))
     except ModelError as exc:
         raise ParseError(f"{where}: {exc}") from exc

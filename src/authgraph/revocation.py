@@ -42,12 +42,15 @@ Design notes that the code below relies on:
   the post-state takes the working maps as its pair maps; nothing is sorted.
   The engine reads states only through their pair maps and indexes, never
   through the sorted `positive`/`negative` tuples.
-* "Who keeps a chain?" is answered by one primitive, `_recheck`, from the
-  pre-state's BFS parent map and the pairs the working copies touched: only
-  the tree subtrees under cut edges are rechecked, so no adjacency is rebuilt
-  from a working map and the cost follows the region an operation affects.
-  Every post-state is handed its orphan set, derived from the pre-state's,
-  so a later repair in its lineage needs no pass of its own.
+* "Who keeps a chain?" is answered by one primitive, `model._recheck`, from
+  the pre-state's parent map and the pairs the working copies touched:
+  only the tree subtrees under cut edges are rechecked, so no adjacency is
+  rebuilt from a working map and the cost follows the region an operation
+  affects.  Every post-state is handed its orphan set, derived from the
+  pre-state's, so a later repair in its lineage needs no pass of its own.
+  It is also handed the pre-state and the touched pairs, from which it
+  derives its other indexes when first read, with the same primitive for
+  its reach maps (see `model`); the operation itself builds none of them.
 * Negative-scheme additions carry a label identifying the operation.  A
   reissue that has to displace existing unlabelled content on its pair (a kind
   upgrade, or clearing a standing FF so the conveyed right stays live) records
@@ -58,7 +61,6 @@ Design notes that the code below relies on:
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import chain
 from typing import Iterable, Mapping, MutableMapping
 
 from .errors import (
@@ -86,13 +88,14 @@ from .model import (
     Timeline,
     TimelineStep,
     UndoOp,
+    _recheck,
+    _TT,
 )
 from .semantics import _require_principals
 
 Pair = tuple[Principal, Principal]
 PosMap = MutableMapping[Pair, PositiveAuth]
 NegMap = MutableMapping[Pair, NegativeAuth]
-_TT = PositiveKind.TT  # a global: enum member lookup is slow in the hot loops below
 _DEFAULT_CONFIG = EngineConfig()
 _NOTHING: frozenset = frozenset()
 
@@ -126,105 +129,6 @@ class _Working(dict):
         return dict, (dict(self),)
 
 
-def _recheck(
-    state: AuthorizationState,
-    pos: Mapping[Pair, PositiveAuth],
-    neg: Mapping[Pair, NegativeAuth],
-    touched: Iterable[Pair],
-    active: bool,
-    avoid: Principal | None = None,
-) -> tuple[set[Principal], set[Principal]]:
-    """Rooted reachability after the edits on the `touched` pairs, with
-    `avoid` excised from the graph, as the principals lost and gained against
-    the state's own plain or active reach.
-
-    Mark and recheck: a principal can lose its chain only if it hangs below a
-    cut edge of the state's BFS tree (or below `avoid`).  Those subtrees are
-    marked; a marked principal is re-admitted by a live TT edge from one that
-    kept its chain, and everything a re-admitted principal or a newly live
-    edge reaches is rechecked forward.  The cost follows the marked region,
-    and edits that change no edge's liveness read no index at all.
-    """
-    before, get = state.positive_by_pair, pos.get
-    if active:
-        blocked_before, blocked = state.negative_by_pair, neg
-    else:
-        blocked_before = blocked = ()
-    cuts, added = [], {}
-    for pair in touched:
-        old, new = before.get(pair), get(pair)
-        was = old is not None and old.kind is _TT and pair not in blocked_before
-        if new is not None and new.kind is _TT and pair not in blocked:
-            if not was:
-                added.setdefault(pair[0], []).append(pair[1])
-        elif was:
-            cuts.append(pair)
-    if not cuts and not added and avoid is None:
-        return set(), set()
-
-    if active:
-        reach, children = state.active_reach, state.active_children
-    else:
-        reach, children = state.plain_reach, state.chain_children
-    parent = reach.get
-    marked = set()
-    for g, k in cuts:
-        if parent(k) == g:
-            marked.add(k)
-    if avoid in reach:
-        marked.add(avoid)
-    if not marked and not added:
-        return marked, set()
-    stack = list(marked)
-    for x in stack:  # grows while walked
-        for c in children.get(x, ()):
-            if parent(c) == x and c not in marked:
-                marked.add(c)
-                stack.append(c)
-
-    # Re-admit: a marked principal with a live edge from one that kept its
-    # chain, or any principal a newly live edge from such a one reaches.
-    regained = []
-    if marked:
-        incoming = state.incoming
-        for k in marked:
-            if k == avoid:
-                continue
-            for auth in incoming.get(k, ()):
-                g = auth.grantor
-                if g in reach and g not in marked:
-                    now = get((g, k))
-                    if now is not None and now.kind is _TT and (g, k) not in blocked:
-                        regained.append(k)
-                        break
-    for g, grantees in added.items():
-        if g in reach and g not in marked:
-            for k in grantees:
-                if k != avoid and (k not in reach or k in marked):
-                    regained.append(k)
-    if not regained:
-        return marked, set()
-    seen = set(regained)
-    for x in regained:  # grows while walked
-        successors = children.get(x, ())
-        if x in added:
-            successors = chain(successors, added[x])
-        for y in successors:
-            if y in seen or y == avoid or (y in reach and y not in marked):
-                continue
-            now = get((x, y))
-            if now is not None and now.kind is _TT and (x, y) not in blocked:
-                seen.add(y)
-                regained.append(y)
-    marked -= seen
-    gained = set()
-    if added:
-        for p in seen:
-            if p not in reach:
-                gained.add(p)
-    return marked, gained
-
-
 def _dependents(state: AuthorizationState, i: Principal) -> set[Principal]:
     """Active principals other than the SOA whose every active chain runs
     through i, i included."""
@@ -232,8 +136,7 @@ def _dependents(state: AuthorizationState, i: Principal) -> set[Principal]:
         # Needed, not a shortcut: the recheck below would excise the SOA and
         # count it among the lost, and `_dominate` would kill its own grants.
         return state.active_reach.keys() - {i}
-    lost, _ = _recheck(state, state.positive_by_pair, state.negative_by_pair, (), True, i)
-    return lost
+    return _recheck(state, state.positive_by_pair, state.negative_by_pair, (), True, i)[0]
 
 
 def _repair(
@@ -248,7 +151,7 @@ def _repair(
     suffices: edges out of unreachable principals contribute nothing to
     reachability from the SOA, so removing them disconnects nobody else.
     """
-    unrooted, gained = _recheck(state, pos, neg, touched, False)
+    unrooted, gained, _ = _recheck(state, pos, neg, touched, False)
     if state.orphans:
         unrooted |= state.orphans - gained
     before_pos, before_neg = state.positive_by_pair, state.negative_by_pair
@@ -297,13 +200,15 @@ def _finish(
 
     Every post-state is handed its orphans, so no later repair in its lineage
     has to find them with a pass of its own: none after a repair, else those
-    `_orphans_after` derives from the pre-state's.
+    `_orphans_after` derives from the pre-state's.  It is also handed the
+    pre-state and the touched pairs, to derive its other indexes from the
+    pre-state's when first read; nothing is derived here.
     """
     deleted_pos, issued_pos = _changes(pre.positive_by_pair, pos)
     deleted_neg, issued_neg = _changes(pre.negative_by_pair, neg)
     orphans = _NOTHING if repaired else _orphans_after(pre, pos, deleted_pos, issued_pos)
     post = AuthorizationState._trusted(
-        pre.soa, pre.principals, pre.time + 1, pos, neg, orphans
+        pre.soa, pre.principals, pre.time + 1, pos, neg, orphans, (pre, pos.touched, neg.touched)
     )
     return post, RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
 
@@ -330,7 +235,7 @@ def _orphans_after(
             cut |= now is None or now.kind is not _TT
     if not cut and not (orphans and any(auth.kind is _TT for auth in issued)):
         return orphans
-    lost, gained = _recheck(pre, pos, (), pos.touched, False)
+    lost, gained, _ = _recheck(pre, pos, (), pos.touched, False)
     grantors = pre.outgoing
     return frozenset(orphans - gained | {p for p in lost if p in grantors})
 
@@ -570,7 +475,7 @@ def _strong_global(
         if label is None:
             killed_into |= _repair(state, pos, neg, pos.touched | neg.touched)
         else:
-            lost, _ = _recheck(state, pos, neg, neg.touched, True)
+            lost = _recheck(state, pos, neg, neg.touched, True)[0]
             killed_into = set()
             for pair in neg.touched:
                 if pair in neg and pair[0] in active_pre:

@@ -6,13 +6,14 @@ pair carries an FF.  A positive authorization is active when its own pair is
 not blocked and its grantor holds an active chain.  Access follows either from
 an active chain or from an unblocked TF edge out of a principal with one.
 
-Rooted reachability, plain and active, is one breadth-first pass over the
-state's adjacency index, run at most once per state and kept with it (states
-are immutable) as the pass's parent map; one pass answers the query for every
-principal at once, and the revocation engine rechecks only the subtrees of
-that BFS tree an operation cuts.  Access then needs only the grantee's
-incoming edges, and edge activity a dict lookup.  Only independence, which
-excises a principal, runs a fresh pass per query.
+Rooted reachability, plain and active, is kept with each state (states are
+immutable) as a parent map, a tree of rooted chains built at most once per
+state: by a breadth-first pass over its adjacency index, or patched from its
+pre-state's map by rechecking only the tree subtrees the operation cut.
+Access then needs only the grantee's incoming edges, and edge activity a
+dict lookup.  Independence walks j's parent chain: a chain that avoids i
+answers it at once, and only when i lies on that chain does a pass with i
+excised decide.
 """
 
 from __future__ import annotations
@@ -81,7 +82,15 @@ def is_independent(state: AuthorizationState, j: Principal, i: Principal) -> boo
     _require_principals(state, j, i)
     if j == state.soa:
         return True
-    return j in _bfs(state.active_children, state.soa, i)
+    reach = state.active_reach
+    if j not in reach:
+        return False
+    p = j
+    while p is not None:  # j's tree path is an active chain: done unless i is on it
+        if p == i:
+            return j in _bfs(state.active_children, state.soa, i)
+        p = reach[p]
+    return True
 
 
 def is_auth_active(

@@ -375,6 +375,28 @@ class TestFailureModes:
         assert main(["check", str(bad)]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: positive[0]: label")
 
+    def test_label_root_must_be_a_principal(self, tmp_path, capsys):
+        doc = {
+            "soa": "a",
+            "principals": ["a", "b"],
+            "positive": [{"from": "a", "to": "b", "kind": "TT"}],
+            "negative": [{"from": "a", "to": "b", "label": {"from": "z", "to": "q", "seq": 5}}],
+            "time": 0,
+        }
+        bad = tmp_path / "foreign_label.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(bad)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: negative[0]: label root 'z' is not a principal\n"
+
+    def test_lone_surrogate_endpoint_is_located(self, tmp_path, capsys):
+        hostile = tmp_path / "endpoint.json"
+        hostile.write_bytes(
+            b'{"soa": "A", "principals": ["A", "B"], "positive":'
+            b' [{"from": "A", "to": "\\ud800", "kind": "TT"}], "negative": [], "time": 0}'
+        )
+        assert main(["check", str(hostile)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: positive[0]: unknown principal")
+
     def test_unwritable_output(self, fixtures_dir, tmp_path, capsys):
         rc = main(
             [

@@ -208,6 +208,27 @@ class TestParseStateErrors:
                 "positive[0]: member 'from' is not UTF-8 text",
                 id="lone-surrogate-label",
             ),
+            pytest.param(
+                _mutant(
+                    lambda d: d["negative"].append(
+                        {"from": "A", "to": "B", "label": {"from": "z", "to": "q", "seq": 5}}
+                    )
+                ),
+                "negative[0]: label root 'z' is not a principal",
+                id="label-root-not-a-principal",
+            ),
+            pytest.param(
+                _mutant(
+                    lambda d: d["positive"][0].update(label={"from": "A", "to": "q", "seq": 0})
+                ),
+                "positive[0]: label root 'q' is not a principal",
+                id="label-grantee-root-not-a-principal",
+            ),
+            pytest.param(
+                _mutant(lambda d: d["positive"][0].update({"to": "\ud800"})),
+                "positive[0]: unknown principal '\\ud800'",
+                id="lone-surrogate-endpoint",
+            ),
         ],
     )
     def test_rejected_with_diagnostic(self, payload, message):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+from collections import Counter
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from authgraph import (
@@ -28,7 +32,7 @@ from authgraph import (
     undo_negative,
     validate_connectivity,
 )
-from authgraph import revocation
+from authgraph import model, revocation
 from authgraph.revocation import apply_scheme, grant, issue_negative
 
 import generators
@@ -275,9 +279,7 @@ def test_recheck_matches_a_full_pass(case, active):
     blocked_before = state.negative_by_pair if active else ()
     before = reference_reach(state.positive_by_pair, blocked_before, state.soa)
     after = reference_reach(pos, neg if active else (), state.soa, avoid)
-    lost, gained = revocation._recheck(
-        state, pos, neg, pos.touched | neg.touched, active, avoid
-    )
+    lost, gained, _ = model._recheck(state, pos, neg, pos.touched | neg.touched, active, avoid)
     assert lost == before - after
     assert gained == after - before
 
@@ -313,3 +315,58 @@ def test_every_engine_state_carries_its_orphans(program):
 def test_orphans_handed_on_from_a_constructed_state(program, data):
     start = constructed_states(data.draw, NAMES[: program[0]])
     interpret(program, check_handed_orphans, start)
+
+
+# Indexes a post-state derives from its origin's, against a rebuild.
+
+DERIVED = ("chain_children", "active_children", "plain_reach", "active_reach", "incoming", "outgoing")
+
+
+def check_derived_indexes(state):
+    """Each index of `state` holds what a rebuild of it holds; a reach map
+    may pick other parents, but each is a live TT edge on a chain to the SOA."""
+    rebuilt = state.replace_authorizations()
+    for name in DERIVED:
+        got, want = getattr(state, name), getattr(rebuilt, name)
+        assert got.keys() == want.keys(), name
+        if name.endswith("_reach"):
+            blocked = state.negative_by_pair if name == "active_reach" else ()
+            for p in got:
+                chain = [p]
+                while got[chain[-1]] is not None:
+                    grantor, grantee = got[chain[-1]], chain[-1]
+                    auth = state.positive_by_pair.get((grantor, grantee))
+                    assert auth is not None and auth.kind is TT, (name, grantor, grantee)
+                    assert (grantor, grantee) not in blocked, (name, grantor, grantee)
+                    assert grantor not in chain, (name, chain)
+                    chain.append(grantor)
+                assert chain[-1] == state.soa, (name, chain)
+        else:
+            assert {p: Counter(items) for p, items in got.items()} == {
+                p: Counter(items) for p, items in want.items()
+            }, name
+
+
+@given(edited_states(), st.sets(st.sampled_from(DERIVED)))
+@settings(max_examples=400)
+def test_derivation_matches_a_rebuild(case, built):
+    state, pos, neg, _ = case
+    for name in built:  # the origin may have built any of its indexes, or none
+        getattr(state, name)
+    before = {name: copy.deepcopy(state.__dict__[name]) for name in DERIVED if name in state.__dict__}
+    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0):
+        derived = AuthorizationState._trusted(
+            state.soa, state.principals, state.time + 1, pos, neg, None, (state, pos.touched, neg.touched)
+        )
+    assert derived.__dict__["_origin"][0] is state
+    check_derived_indexes(derived)
+    for name, index in before.items():  # the origin's indexes are never changed
+        assert state.__dict__[name] == index, name
+
+
+@given(programs())
+@settings(max_examples=200)
+def test_lineage_indexes_match_a_rebuild(program):
+    # every post-state derives from a pre-state that derived its own
+    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0):
+        interpret(program, lambda pre, op, delta, post: check_derived_indexes(post))

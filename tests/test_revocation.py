@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -17,6 +19,7 @@ from authgraph import (
     GrantOp,
     InactiveGrantorError,
     MissingAuthorizationError,
+    NegativeAuth,
     NegativeOp,
     NothingToUndoError,
     PositiveAuth,
@@ -221,6 +224,103 @@ def test_undo_on_a_fresh_lineage_state_builds_no_index(monkeypatch):
     back, _ = undo_negative(negated, "B", "C")
     assert calls == []
     assert states_equal(back, state)
+
+
+def large_state(seed=1, n=60):
+    """A seeded state above the derivation cut: a random TT spanning tree
+    over n principals, as many extra edges (some TF), and four blocks."""
+    rng = random.Random(seed)
+    names = [f"p{k:02d}" for k in range(n)]
+    kinds = {(names[rng.randrange(k)], names[k]): TT for k in range(1, n)}
+    while len(kinds) < 2 * (n - 1):
+        kinds.setdefault(tuple(rng.sample(names, 2)), TF if rng.random() < 0.3 else TT)
+    blocked = rng.sample(sorted(kinds), 4)
+    state = AuthorizationState(
+        soa=names[0],
+        principals=frozenset(names),
+        positive=tuple(PositiveAuth(g, k, kind) for (g, k), kind in kinds.items()),
+        negative=tuple(NegativeAuth(g, k) for g, k in blocked),
+    )
+    assert len(state.positive_by_pair) >= model._DERIVE_MIN_ENTRIES
+    return state
+
+
+def _large_operations(base):
+    """(name, post-state) for a grant, a plain negative, the eight schemes and
+    their undos on `base`, each cutting one active tree edge above a subtree."""
+    reach, children = base.active_reach, base.active_children
+    i, j = next(
+        (reach[k], k)
+        for k in sorted(reach)
+        if reach[k] not in (None, base.soa) and children.get(k)
+    )
+    spare = next(p for p in sorted(base.principals) if (i, p) not in base.positive_by_pair)
+    yield "grant", grant(base, i, spare, TT)[0]
+    yield "negative", issue_negative(base, i, j)[0]
+    for scheme in Scheme:
+        request = RevocationRequest(scheme, i, j)
+        yield scheme.name, apply_scheme(base, request)[0]
+        if not scheme.is_delete:  # from a state of its own, which the undo makes an origin
+            negated = _indexed(apply_scheme(base, request)[0])
+            yield f"undo after {scheme.name}", undo_negative(negated, i, j)[0]
+
+
+def _tree_path(reach, p):
+    path = []
+    while p is not None:
+        path.append(p)
+        p = reach[p]
+    return path
+
+
+def test_first_queries_on_a_large_post_state_build_no_index(monkeypatch):
+    # A post-state derives its indexes from its pre-state's: the first rights
+    # queries on it run no pass over the whole graph.
+    cases = []
+    for name, post in _large_operations(_indexed(large_state())):
+        fresh = post.replace_authorizations()
+        active, children = fresh.active_reach, fresh.active_children
+        leaf = next(p for p in sorted(active) if p not in children)  # no chain passes it
+        deep = max(sorted(active.keys() - {leaf}), key=lambda p: len(_tree_path(active, p)))
+        edge = next(iter(sorted(post.positive_by_pair)))
+        cases.append((name, post, fresh, leaf, deep, edge))
+    calls = []
+    for module in (model, semantics):
+        for name in ("_bfs", "_tt_adjacency"):
+            real = getattr(model, name)
+            counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+            monkeypatch.setattr(module, name, counted, raising=False)
+    for name, post, fresh, leaf, deep, edge in cases:
+        assert "_origin" in post.__dict__, name
+        for p in sorted(post.principals)[::7]:
+            assert has_access_right(post, p) == has_access_right(fresh, p), name
+            assert has_delegation_right(post, p) == has_delegation_right(fresh, p), name
+        assert is_auth_active(post, *edge) == is_auth_active(fresh, *edge), name
+        assert is_independent(post, deep, leaf), name
+        assert calls == [], name
+
+
+def test_a_lineage_holds_only_one_predecessor():
+    first = _indexed(large_state(seed=2))
+    i, j = next(pair for pair in sorted(first.positive_by_pair) if pair not in first.negative_by_pair)
+    second, _ = apply_scheme(first, RevocationRequest(Scheme.WGN, i, j))
+    held = weakref.ref(first)
+    del first
+    gc.collect()
+    assert held() is not None  # `second` derives its indexes from it
+    has_access_right(second, j)
+    third, _ = undo_negative(second, i, j)
+    gc.collect()
+    assert held() is None
+    assert "_origin" not in second.__dict__ and third.__dict__["_origin"][0] is second
+
+
+def test_large_post_states_pickle_without_their_origin():
+    for name, post in _large_operations(_indexed(large_state(seed=3))):
+        has_access_right(post, post.soa)
+        back = pickle.loads(pickle.dumps(post))
+        assert "_origin" in post.__dict__ and "_origin" not in back.__dict__, name
+        assert states_equal(back, post) and back.active_reach == post.active_reach, name
 
 
 def orphaned_document_state():

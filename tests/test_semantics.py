@@ -18,6 +18,7 @@ from authgraph import (
     active_chain_exists,
     validate_connectivity,
 )
+from authgraph import semantics
 from authgraph.semantics import reachable_active, reachable_plain
 
 
@@ -103,6 +104,45 @@ class TestIndependence:
 
     def test_non_soa_principal_depends_on_itself(self, revocation_base):
         assert not is_independent(revocation_base, "B", "B")
+
+    @staticmethod
+    def _tt_state(*pairs):
+        return AuthorizationState(
+            soa="A",
+            principals=frozenset("ABCD"),
+            positive=tuple(PositiveAuth(g, k, PositiveKind.TT) for g, k in pairs),
+            negative=(),
+        )
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes = []
+        real = semantics._bfs
+        monkeypatch.setattr(
+            semantics, "_bfs", lambda *args: passes.append(args[-1]) or real(*args)
+        )
+        return passes
+
+    def test_fallback_finds_a_second_chain(self, monkeypatch):
+        # D hangs below B or C in the BFS tree, and either parent can be avoided
+        state = self._tt_state(("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"))
+        tree_parent = state.active_reach["D"]
+        passes = self._count_passes(monkeypatch)
+        assert is_independent(state, "D", "B") and is_independent(state, "D", "C")
+        assert passes == [tree_parent]  # only the tree parent needs a pass
+
+    def test_fallback_sees_a_sole_chain(self, monkeypatch):
+        # every chain to D runs through B, and so does D's tree path
+        state = self._tt_state(("A", "B"), ("B", "C"), ("B", "D"), ("C", "D"))
+        passes = self._count_passes(monkeypatch)
+        assert not is_independent(state, "D", "B")
+        assert is_independent(state, "D", "C")
+        assert passes == ["B"]
+
+    def test_outside_the_active_reach_is_dependent(self, blocked_chain, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        assert not is_independent(blocked_chain, "B", "C")
+        assert passes == []
 
 
 class TestConnectivity:

@@ -53,6 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--from", dest="src", required=True, metavar="PRINCIPAL")
         p.add_argument("--to", dest="dst", required=True, metavar="PRINCIPAL")
 
+    def add_sgd_variant(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--sgd-variant",
+            action="store_true",
+            help="restrict strong-global dominance to the direct target",
+        )
+
     p = sub.add_parser("check", help="validate the connectivity property")
     p.add_argument("state")
 
@@ -64,11 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--scheme", required=True, choices=sorted(Scheme.__members__))
     add_pair(p)
-    p.add_argument(
-        "--sgd-variant",
-        action="store_true",
-        help="restrict strong-global dominance to the direct target",
-    )
+    add_sgd_variant(p)
     add_output(p)
 
     p = sub.add_parser("grant", help="issue or upgrade a positive authorization")
@@ -90,11 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="apply an operation trace to a state")
     p.add_argument("state")
     p.add_argument("trace")
-    p.add_argument(
-        "--sgd-variant",
-        action="store_true",
-        help="restrict strong-global dominance to the direct target",
-    )
+    add_sgd_variant(p)
     add_output(p)
 
     p = sub.add_parser("export", help="export the state as a DOT digraph")

@@ -118,6 +118,14 @@ def _load(text: str) -> Any:
         raise ParseError("invalid document: nested too deeply") from exc
 
 
+def _check_version(doc: dict[str, Any], prefix: str) -> None:
+    """An optional `version` must be the integer FORMAT_VERSION: not a bool
+    or a float, which compare equal to it."""
+    version = doc.get("version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(f"{prefix}unsupported version {version!r}")
+
+
 _STATE_MEMBERS = frozenset({"version", "soa", "principals", "positive", "negative", "time"})
 _POSITIVE_MEMBERS = frozenset({"from", "to", "kind", "label"})
 _NEGATIVE_MEMBERS = frozenset({"from", "to", "label"})
@@ -138,9 +146,7 @@ def parse_state(text: str) -> AuthorizationState:
     for key in doc:
         if key not in _STATE_MEMBERS:
             raise ParseError(f"unknown member {key!r}")
-    version = doc.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported version {version!r}")
+    _check_version(doc, "")
 
     soa = _str_member(doc, "soa", "state")
     if "principals" not in doc:
@@ -264,9 +270,7 @@ def parse_trace(text: str) -> tuple[Operation, ...]:
         for key in doc:
             if key not in _TRACE_MEMBERS:
                 raise ParseError(f"trace: unknown member {key!r}")
-        version = doc.get("version", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
-            raise ParseError(f"trace: unsupported version {version!r}")
+        _check_version(doc, "trace: ")
         if "operations" not in doc:
             raise ParseError("trace: missing member 'operations'")
         entries = doc["operations"]

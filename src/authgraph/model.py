@@ -25,16 +25,18 @@ and defers to it.  The engine, which derives each state from a valid one,
 uses the private trusted path instead and hands it only the pair maps, plus
 the state's orphan grantors, which it derives from the pre-state's.
 
-Every other index is built lazily from the maps, once per state: TT
-adjacency (plain and active), the grantees by grantor over both maps
-(`outgoing`), the positive authorizations by grantee (`incoming`), and rooted
-reachability.  Reachability is kept as a parent map (`{p: the principal
-whose TT edge reaches p in a tree of rooted chains}`, the SOA mapped to
-None): a BFS tree, or one patched from the origin's as below.  Membership
-reads stay cheap, and the engine can tell which principals hang below a
-given tree edge.  `orphans` names the grantors without a plain rooted
-chain.  A document may carry some, and so may an engine state whose negative
-scheme weakened a TT edge; a repair leaves none.
+Every other index is built lazily from the maps, once per state: the TT
+successors by grantor, negatives ignored (`chain_children`), the grantees
+by grantor over both maps (`outgoing`), the positive authorizations by
+grantee (`incoming`), and rooted reachability, plain and active, both
+searched over `chain_children` (the active search skips blocked pairs).
+Reachability is kept as a parent map (`{p: the principal whose TT edge
+reaches p in a tree of rooted chains}`, the SOA mapped to None): a BFS
+tree, or one patched from the origin's as below.  Membership reads stay
+cheap, and the engine can tell which principals hang below a given tree
+edge.  `orphans` names the grantors without a plain rooted chain.  A
+document may carry some, and so may an engine state whose negative scheme
+weakened a TT edge; a repair leaves none.
 
 An engine state of at least `_DERIVE_MIN_ENTRIES` positive entries keeps its
 pre-state (its origin) and the pairs the operation touched.  The first read
@@ -42,8 +44,8 @@ of an index the origin has already built copies the origin's and regroups
 only the endpoints of the touched pairs; the reach maps are patched by
 `_recheck`, the one incremental reachability primitive, which also names the
 new parent of each principal it re-admits, so a derived map is again a valid
-parent map.  Without an origin, or when the origin lacks the index, the index
-is built from the maps.  A state drops its own origin when an operation takes
+parent map.  Without an origin, or when the origin lacks the index (or, for
+a reach map, `chain_children`), the index is built from the maps.  A state drops its own origin when an operation takes
 it as pre-state, so no state holds more than its one predecessor, and a
 pickled state carries none.  Smaller states rebuild: there a full pass costs
 less than copying an index.
@@ -123,10 +125,8 @@ class PositiveKind(Enum):
 
 _TT = PositiveKind.TT  # a global: enum member lookup is slow in the hot loops below
 
-# For `AuthorizationState._derive`: the indexes negatives do not change, and
-# the successor index each reach map is searched over.
+# For `AuthorizationState._derive`: the indexes negatives do not change.
 _PLAIN = frozenset({"chain_children", "plain_reach", "incoming"})
-_CHILDREN_OF = {"plain_reach": "chain_children", "active_reach": "active_children"}
 
 
 class Scheme(Enum):
@@ -309,25 +309,19 @@ class AuthorizationState:
     @_index
     def chain_children(self) -> Mapping[Principal, tuple[Principal, ...]]:
         """TT successors per principal, negatives ignored (plain chain edges)."""
-        return {p: tuple(cs) for p, cs in _tt_adjacency(self.positive_by_pair, ()).items()}
-
-    @_index
-    def active_children(self) -> Mapping[Principal, tuple[Principal, ...]]:
-        """TT successors per principal with FF-blocked pairs removed."""
-        adjacency = _tt_adjacency(self.positive_by_pair, self.negative_by_pair)
-        return {p: tuple(cs) for p, cs in adjacency.items()}
+        return {p: tuple(cs) for p, cs in _tt_adjacency(self.positive_by_pair).items()}
 
     @_index
     def plain_reach(self) -> Mapping[Principal, Principal | None]:
         """Principals with a rooted delegation chain, negatives ignored, each
         mapped to its parent in a tree of such chains."""
-        return _bfs(self.chain_children, self.soa)
+        return _bfs(self.chain_children, self.soa, ())
 
     @_index
     def active_reach(self) -> Mapping[Principal, Principal | None]:
         """Principals with an active rooted delegation chain, each mapped to
         its parent in a tree of such chains."""
-        return _bfs(self.active_children, self.soa)
+        return _bfs(self.chain_children, self.soa, self.negative_by_pair)
 
     @_index
     def incoming(self) -> Mapping[Principal, tuple[PositiveAuth, ...]]:
@@ -355,7 +349,8 @@ class AuthorizationState:
         A grouped index is the origin's with the endpoints of the touched
         pairs regrouped; a reach map is the origin's less the principals
         `_recheck` finds lost, with the parents it names for those it
-        re-admits.  Plain indexes look at touched positive pairs only.
+        re-admits, and needs the origin's `chain_children` too.  Plain
+        indexes look at touched positive pairs only.
         """
         origin, pos_touched, neg_touched = self._origin
         built = origin.__dict__
@@ -364,8 +359,8 @@ class AuthorizationState:
         positive, negative = self.positive_by_pair, self.negative_by_pair
         plain = name in _PLAIN
         touched = pos_touched if plain else chain(pos_touched, neg_touched)
-        if name in _CHILDREN_OF:  # a reach map
-            if _CHILDREN_OF[name] not in built:
+        if name.endswith("_reach"):
+            if "chain_children" not in built:
                 return None
             lost, _, parents = _recheck(origin, positive, negative, touched, not plain)
             reach = built[name]
@@ -383,13 +378,11 @@ class AuthorizationState:
             def current(pair):
                 return pair[1] if pair in positive or pair in negative else None
 
-        else:  # TT successors, plain or active
-            blocked = () if plain else negative
+        else:  # chain_children
 
             def current(pair):
                 auth = positive.get(pair)
-                live = auth is not None and auth.kind is _TT and pair not in blocked
-                return pair[1] if live else None
+                return pair[1] if auth is not None and auth.kind is _TT else None
 
         return _regroup(built[name], touched, 0, current)
 
@@ -429,13 +422,13 @@ AuthorizationState.negative = cached_property(
 
 
 def _tt_adjacency(
-    by_pair: Mapping[tuple[Principal, Principal], PositiveAuth], blocked: Mapping | tuple
+    by_pair: Mapping[tuple[Principal, Principal], PositiveAuth],
 ) -> dict[Principal, list[Principal]]:
-    """TT successors per grantor in a positive pair map, skipping pairs in `blocked`."""
+    """TT successors per grantor in a positive pair map."""
     tt = PositiveKind.TT  # a local: enum member lookup is slow in a loop this hot
     out: dict[Principal, list[Principal]] = {}
     for pair, auth in by_pair.items():
-        if auth.kind is tt and pair not in blocked:
+        if auth.kind is tt:
             out.setdefault(pair[0], []).append(pair[1])
     return out
 
@@ -467,18 +460,16 @@ def _sorted_entries(by_pair: Mapping[tuple[Principal, Principal], object]) -> tu
 def _bfs(
     adjacency: Mapping[Principal, Iterable[Principal]],
     start: Principal,
-    avoid: Principal | None = None,
+    blocked: Mapping | tuple,
 ) -> dict[Principal, Principal | None]:
-    """Breadth-first reachability from `start`, with `avoid` excised from the
-    graph, as a parent map: each principal reached maps to the one it was
-    first reached from, `start` to None."""
-    if start == avoid:
-        return {}
+    """Breadth-first reachability from `start` over the edges of `adjacency`
+    whose pairs are not in `blocked`, as a parent map: each principal reached
+    maps to the one it was first reached from, `start` to None."""
     parent: dict[Principal, Principal | None] = {start: None}
     queue = [start]
     for p in queue:  # the list grows while it is walked: a FIFO without pops
         for q in adjacency.get(p, ()):
-            if q != avoid and q not in parent:
+            if q not in parent and (p, q) not in blocked:
                 parent[q] = p
                 queue.append(q)
     return parent
@@ -501,7 +492,9 @@ def _recheck(
     cut edge of the state's tree of chains (or below `avoid`).  Those subtrees are
     marked; a marked principal is re-admitted by a live TT edge from one that
     kept its chain, and everything a re-admitted principal or a newly live
-    edge reaches is rechecked forward.  The cost follows the marked region,
+    edge reaches is rechecked forward.  Both modes walk `chain_children`: a
+    tree edge is live in the state, and the forward walk checks each edge's
+    liveness in the new maps.  The cost follows the marked region,
     and edits that change no edge's liveness read no index at all.  The
     state's parent map less the lost principals, updated with the returned
     parents, is again a parent map: every parent edge live, every chain of
@@ -524,11 +517,8 @@ def _recheck(
     if not cuts and not added and avoid is None:
         return set(), set(), {}
 
-    if active:
-        reach, children = state.active_reach, state.active_children
-    else:
-        reach, children = state.plain_reach, state.chain_children
-    parent = reach.get
+    reach = state.active_reach if active else state.plain_reach
+    children, parent = state.chain_children, reach.get
     marked = set()
     for g, k in cuts:
         if parent(k) == g:

@@ -9,8 +9,9 @@ below, and `apply_scheme` composes them into all eight schemes:
   selects this axis.
 * Dominance, `_dominate`: strong schemes also kill the grants into a target
   issued by principals whose every active chain runs through the revoker i
-  (`_dependents`: the active reach lost when i is excised); weak schemes leave
-  other grantors' edges alone.  The grants into a target come from the
+  (`semantics._dependents`: the active reach lost when i is excised, which
+  also decides `is_independent` when i lies on j's tree path); weak schemes
+  leave other grantors' edges alone.  The grants into a target come from the
   pre-state's grantee index.
 * Propagation: local schemes (`_reroot`) touch only authorizations incident
   to the target j, re-rooting j's grants at i.  Global schemes cascade to
@@ -91,7 +92,7 @@ from .model import (
     _recheck,
     _TT,
 )
-from .semantics import _require_principals
+from .semantics import _dependents, _require_principals
 
 Pair = tuple[Principal, Principal]
 PosMap = MutableMapping[Pair, PositiveAuth]
@@ -127,16 +128,6 @@ class _Working(dict):
 
     def __reduce__(self):
         return dict, (dict(self),)
-
-
-def _dependents(state: AuthorizationState, i: Principal) -> set[Principal]:
-    """Active principals other than the SOA whose every active chain runs
-    through i, i included."""
-    if i == state.soa:
-        # Needed, not a shortcut: the recheck below would excise the SOA and
-        # count it among the lost, and `_dominate` would kill its own grants.
-        return state.active_reach.keys() - {i}
-    return _recheck(state, state.positive_by_pair, state.negative_by_pair, (), True, i)[0]
 
 
 def _repair(

@@ -8,12 +8,14 @@ an active chain or from an unblocked TF edge out of a principal with one.
 
 Rooted reachability, plain and active, is kept with each state (states are
 immutable) as a parent map, a tree of rooted chains built at most once per
-state: by a breadth-first pass over its adjacency index, or patched from its
-pre-state's map by rechecking only the tree subtrees the operation cut.
+state: by a breadth-first pass over its TT-successor index, or patched from
+its pre-state's map by rechecking only the tree subtrees the operation cut.
 Access then needs only the grantee's incoming edges, and edge activity a
 dict lookup.  Independence walks j's parent chain: a chain that avoids i
-answers it at once, and only when i lies on that chain does a pass with i
-excised decide.
+answers it at once.  When i lies on that chain, `_dependents` decides, the
+same excision the strong schemes use: `model._recheck` with i excised marks
+i's subtree and re-admits what a live edge from outside it still reaches,
+so the cost follows i's subtree, not the graph.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MissingAuthorizationError, UnknownPrincipalError
-from .model import AuthorizationState, PositiveKind, Principal, _bfs
+from .model import AuthorizationState, PositiveKind, Principal, _recheck
 
 
 def reachable_plain(state: AuthorizationState) -> frozenset[Principal]:
@@ -88,9 +90,19 @@ def is_independent(state: AuthorizationState, j: Principal, i: Principal) -> boo
     p = j
     while p is not None:  # j's tree path is an active chain: done unless i is on it
         if p == i:
-            return j in _bfs(state.active_children, state.soa, i)
+            return j not in _dependents(state, i)
         p = reach[p]
     return True
+
+
+def _dependents(state: AuthorizationState, i: Principal) -> set[Principal]:
+    """Active principals other than the SOA whose every active chain runs
+    through i, i included."""
+    if i == state.soa:
+        # Needed, not a shortcut: the recheck below would excise the SOA and
+        # count it among the lost, and strong dominance would kill its grants.
+        return state.active_reach.keys() - {i}
+    return _recheck(state, state.positive_by_pair, state.negative_by_pair, (), True, i)[0]
 
 
 def is_auth_active(

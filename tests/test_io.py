@@ -126,6 +126,8 @@ class TestParseStateErrors:
             (_mutant(lambda d: d.pop("negative")), "missing member 'negative'"),
             (_mutant(lambda d: d.pop("time")), "missing member 'time'"),
             (_mutant(lambda d: d.update(version=2)), "unsupported version 2"),
+            (_mutant(lambda d: d.update(version=True)), "unsupported version True"),
+            (_mutant(lambda d: d.update(version=1.0)), "unsupported version 1.0"),
             (_mutant(lambda d: d.update(extra=1)), "unknown member 'extra'"),
             (_mutant(lambda d: d.update(soa="Z")), "SOA 'Z' missing from principals"),
             (_mutant(lambda d: d.update(principals=["A", "A", "B"])), "duplicate principal"),
@@ -263,6 +265,8 @@ class TestParseTrace:
         "payload,message",
         [
             ('{"version": 2, "operations": []}', "unsupported version 2"),
+            ('{"version": true, "operations": []}', "unsupported version True"),
+            ('{"version": 1.0, "operations": []}', "unsupported version 1.0"),
             ('{"operations": [], "extra": 1}', "unknown member 'extra'"),
             ('{"version": 1}', "missing member 'operations'"),
             ('"grant"', "operations must form a list"),

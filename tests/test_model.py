@@ -115,10 +115,11 @@ def test_pair_indexes():
     )
     assert state.positive_by_pair[("A", "B")].kind is PositiveKind.TT
     assert set(state.negative_by_pair) == {("A", "B")}
-    # TF edges never appear in chain adjacency; blocked TT edges drop from the active one
+    # TF edges never appear in chain adjacency; a blocked TT edge stays in it
+    # but extends no active chain
     assert state.chain_children.get("A") == ("B",)
     assert "B" not in state.chain_children
-    assert state.active_children.get("A", ()) == ()
+    assert "B" in state.plain_reach and "B" not in state.active_reach
 
 
 def test_states_equal_ignores_time_only():

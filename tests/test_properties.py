@@ -25,6 +25,7 @@ from authgraph import (
     check_equivalence,
     has_access_right,
     has_delegation_right,
+    is_independent,
     new_state,
     parse_state,
     serialize_state,
@@ -32,7 +33,7 @@ from authgraph import (
     undo_negative,
     validate_connectivity,
 )
-from authgraph import model, revocation
+from authgraph import model, revocation, semantics
 from authgraph.revocation import apply_scheme, grant, issue_negative
 
 import generators
@@ -319,7 +320,7 @@ def test_orphans_handed_on_from_a_constructed_state(program, data):
 
 # Indexes a post-state derives from its origin's, against a rebuild.
 
-DERIVED = ("chain_children", "active_children", "plain_reach", "active_reach", "incoming", "outgoing")
+DERIVED = ("chain_children", "plain_reach", "active_reach", "incoming", "outgoing")
 
 
 def check_derived_indexes(state):
@@ -370,3 +371,68 @@ def test_lineage_indexes_match_a_rebuild(program):
     # every post-state derives from a pre-state that derived its own
     with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0):
         interpret(program, lambda pre, op, delta, post: check_derived_indexes(post))
+
+
+def check_independence_against_a_rebuild(pre, op, delta, post):
+    """Every (j, i) independence answer on `post` equals a rebuilt state's
+    and a from-scratch pass with i excised; so do the dependents of each i.
+
+    Asked first on `post`, whose parent maps are derived from its pre-state's
+    and so need not be BFS trees: the excision recheck runs on them."""
+    assert "_origin" in post.__dict__, op
+    rebuilt = post.replace_authorizations()
+    pos, neg, soa = post.positive_by_pair, post.negative_by_pair, post.soa
+    names = sorted(post.principals)
+    active = reference_reach(pos, neg, soa)
+    for i in names:
+        kept = reference_reach(pos, neg, soa, i)
+        want = {j: j == soa or j in kept for j in names}
+        assert {j: is_independent(post, j, i) for j in names} == want, (op, i)
+        assert {j: is_independent(rebuilt, j, i) for j in names} == want, (op, i)
+        assert semantics._dependents(post, i) == active - kept - {soa}, (op, i)
+
+
+def rooted_states(draw, names):
+    """A public-constructor state over `names` rooted at A in which every
+    principal has a TT chain: a spanning tree, extra TT and TF edges that
+    give chains detours, and blocks."""
+    pairs = [(a, b) for a in names for b in names if a != b]
+    kinds = {(draw(st.sampled_from(names[:k])), names[k]): TT for k in range(1, len(names))}
+    kinds.update(draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from([TT, TF]))))
+    blocked = draw(st.sets(st.sampled_from(pairs), max_size=2))
+    return AuthorizationState(
+        soa="A",
+        principals=frozenset(names),
+        positive=tuple(PositiveAuth(g, k, kind) for (g, k), kind in kinds.items()),
+        negative=tuple(NegativeAuth(g, k) for g, k in blocked),
+    )
+
+
+@given(programs(), st.data())
+@settings(max_examples=200)
+def test_independence_on_derived_post_states_matches_a_rebuild(program, data):
+    # from a fresh state, or from a rooted one whose detours give the
+    # excision something to re-admit
+    start = None
+    if data.draw(st.booleans()):
+        start = rooted_states(data.draw, NAMES[: program[0]])
+    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0):
+        interpret(program, check_independence_against_a_rebuild, start)
+
+
+def test_independence_on_a_derived_tree_that_is_no_bfs_tree():
+    # Blocking A -> B re-admits D below C; lifting the block gives B back but
+    # leaves D there, where a BFS would hang it below B.
+    state = AuthorizationState(
+        soa="A",
+        principals=frozenset("ABCD"),
+        positive=tuple(PositiveAuth(g, k, TT) for g, k in ("AB", "AC", "BD", "CD")),
+        negative=(),
+    )
+    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0):
+        negated, _ = apply_scheme(state, RevocationRequest(Scheme.WGN, "A", "B"))
+        assert is_independent(negated, "D", "C") is False
+        back, _ = undo_negative(negated, "A", "B")
+    assert back.active_reach["D"] == "C" != back.replace_authorizations().active_reach["D"]
+    check_independence_against_a_rebuild(negated, UndoOp("A", "B"), None, back)
+    assert is_independent(back, "D", "C") and is_independent(back, "D", "B")

@@ -18,7 +18,7 @@ from authgraph import (
     active_chain_exists,
     validate_connectivity,
 )
-from authgraph import semantics
+from authgraph import model, semantics
 from authgraph.semantics import reachable_active, reachable_plain
 
 
@@ -115,34 +115,43 @@ class TestIndependence:
         )
 
     @staticmethod
-    def _count_passes(monkeypatch):
-        passes = []
-        real = semantics._bfs
+    def _count_excisions(monkeypatch, state):
+        """The principals `_dependents` excises from here on; the state's
+        active reach is built first, and any later BFS fails the test."""
+        state.active_reach
+        excised = []
+        real = semantics._dependents
         monkeypatch.setattr(
-            semantics, "_bfs", lambda *args: passes.append(args[-1]) or real(*args)
+            semantics, "_dependents", lambda s, i: excised.append(i) or real(s, i)
         )
-        return passes
+
+        def no_bfs(*args):
+            raise AssertionError("independence ran a BFS")
+
+        monkeypatch.setattr(model, "_bfs", no_bfs)
+        monkeypatch.setattr(semantics, "_bfs", no_bfs, raising=False)
+        return excised
 
     def test_fallback_finds_a_second_chain(self, monkeypatch):
         # D hangs below B or C in the BFS tree, and either parent can be avoided
         state = self._tt_state(("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"))
         tree_parent = state.active_reach["D"]
-        passes = self._count_passes(monkeypatch)
+        excised = self._count_excisions(monkeypatch, state)
         assert is_independent(state, "D", "B") and is_independent(state, "D", "C")
-        assert passes == [tree_parent]  # only the tree parent needs a pass
+        assert excised == [tree_parent]  # only the tree parent needs an excision
 
     def test_fallback_sees_a_sole_chain(self, monkeypatch):
         # every chain to D runs through B, and so does D's tree path
         state = self._tt_state(("A", "B"), ("B", "C"), ("B", "D"), ("C", "D"))
-        passes = self._count_passes(monkeypatch)
+        excised = self._count_excisions(monkeypatch, state)
         assert not is_independent(state, "D", "B")
         assert is_independent(state, "D", "C")
-        assert passes == ["B"]
+        assert excised == ["B"]
 
     def test_outside_the_active_reach_is_dependent(self, blocked_chain, monkeypatch):
-        passes = self._count_passes(monkeypatch)
+        excised = self._count_excisions(monkeypatch, blocked_chain)
         assert not is_independent(blocked_chain, "B", "C")
-        assert passes == []
+        assert excised == []
 
 
 class TestConnectivity:

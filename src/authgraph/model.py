@@ -23,7 +23,8 @@ its position (`positive[3]: unknown principal 'Z'`), and keeps the pair maps
 it checks duplicates with.  `parse_state` checks only the document's shape
 and defers to it.  The engine, which derives each state from a valid one,
 uses the private trusted path instead and hands it only the pair maps, plus
-the state's orphan grantors, which it derives from the pre-state's.
+the state's orphan grantors and its label index, both of which it derives
+from the pre-state's.
 
 Every other index is built lazily from the maps, once per state: the TT
 successors by grantor, negatives ignored (`chain_children`), the grantees
@@ -36,7 +37,10 @@ tree, or one patched from the origin's as below.  Membership reads stay
 cheap, and the engine can tell which principals hang below a given tree
 edge.  `orphans` names the grantors without a plain rooted chain.  A
 document may carry some, and so may an engine state whose negative scheme
-weakened a TT edge; a repair leaves none.
+weakened a TT edge; a repair leaves none.  `labelled` maps each label key
+(root grantor, root grantee, sequence) to the pairs that may carry that
+label: a superset, since an engine state inherits its pre-state's without
+dropping pairs an operation relabelled or deleted.
 
 An engine state of at least `_DERIVE_MIN_ENTRIES` positive entries keeps its
 pre-state (its origin) and the pairs the operation touched.  The first read
@@ -99,6 +103,8 @@ class _index(cached_property):
 # Principals are bare non-empty strings; a dedicated wrapper type would buy
 # nothing over validating at the state boundary.
 Principal = str
+# A label's (root grantor, root grantee, sequence): the operation it names.
+LabelKey = tuple[Principal, Principal, int]
 
 # Engine states with fewer positive entries than this rebuild their indexes
 # instead of deriving them from their pre-state's (see the module docstring).
@@ -174,6 +180,11 @@ class RevocationLabel:
     @property
     def root(self) -> tuple[Principal, Principal]:
         return (self.root_grantor, self.root_grantee)
+
+    @property
+    def key(self) -> LabelKey:
+        """The operation this label names; the restored facts aside."""
+        return (self.root_grantor, self.root_grantee, self.sequence)
 
 
 @dataclass(frozen=True)
@@ -262,6 +273,7 @@ class AuthorizationState:
         negative_by_pair: Mapping[tuple[Principal, Principal], NegativeAuth],
         orphans: frozenset[Principal] | None = None,
         origin: "tuple[AuthorizationState, Collection, Collection] | None" = None,
+        labelled: "Mapping[LabelKey, tuple[Collection, ...]] | None" = None,
     ) -> "AuthorizationState":
         """Private trusted path for the engine: a state from parts that are
         already valid.
@@ -270,7 +282,8 @@ class AuthorizationState:
         `__post_init__` checks, and that the maps are never mutated again.
         `positive` and `negative` are sorted from the maps on first read
         (see below the class).  `orphans`, when given, must equal what the
-        index of that name would compute.  `origin` is the pre-state with
+        index of that name would compute; `labelled`, when given, must name
+        at least the pairs it would.  `origin` is the pre-state with
         the pairs touched in its positive and in its negative map, the only
         pairs on which these maps differ from its own.  The pre-state drops
         its own origin, and a state of `_DERIVE_MIN_ENTRIES` or more keeps
@@ -286,6 +299,8 @@ class AuthorizationState:
         )
         if orphans is not None:
             state.__dict__["orphans"] = orphans
+        if labelled is not None:
+            state.__dict__["labelled"] = labelled
         if origin is not None:
             origin[0].__dict__.pop("_origin", None)
             if len(positive_by_pair) >= _DERIVE_MIN_ENTRIES:
@@ -391,6 +406,19 @@ class AuthorizationState:
         """Grantors of some authorization that have no plain rooted chain."""
         reach = self.plain_reach
         return frozenset(p for p in self.outgoing if p not in reach)
+
+    @cached_property
+    def labelled(self) -> Mapping[LabelKey, tuple[Collection, ...]]:
+        """The pairs that may carry each label, by label key, as a tuple of
+        pair collections that may overlap.  Every pair carrying a label is
+        named under its key; other pairs may be too (see the module
+        docstring)."""
+        out: dict[LabelKey, list[tuple[Principal, Principal]]] = {}
+        for by_pair in (self.positive_by_pair, self.negative_by_pair):
+            for pair, entry in by_pair.items():
+                if entry.label is not None:
+                    out.setdefault(entry.label.key, []).append(pair)
+        return {key: (pairs,) for key, pairs in out.items()}
 
     def replace_authorizations(
         self,
@@ -604,11 +632,11 @@ def _regroup(
 
 
 def new_state(soa: Principal, principals: Iterable[Principal]) -> AuthorizationState:
-    """Fresh state at time 0 with no authorizations, hence no orphans: the
-    engine hands every state it derives its orphans, so a lineage that starts
-    here never computes them."""
+    """Fresh state at time 0 with no authorizations, hence no orphans and no
+    labels: the engine hands every state it derives both indexes, so a
+    lineage that starts here never scans for them."""
     state = AuthorizationState(soa=soa, principals=frozenset(principals), positive=(), negative=())
-    state.__dict__["orphans"] = frozenset()
+    state.__dict__.update(orphans=frozenset(), labelled={})
     return state
 
 

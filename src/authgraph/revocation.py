@@ -57,6 +57,13 @@ Design notes that the code below relies on:
   upgrade, or clearing a standing FF so the conveyed right stays live) records
   the displaced facts inside the label; undo restores them instead of simply
   deleting the slot.
+* Undo reads only the pairs its label may be on: the post-state's label
+  index (`labelled`).  A negative scheme hands its post-state the pre-state's
+  index plus its own key, mapped to the pairs it touched (beside any pairs
+  already under that key: a document label may carry the same key); an undo
+  hands it on less its key; every other operation hands the pre-state's on
+  as it is, or none if the pre-state has none.  So a pair that an operation
+  relabels or deletes stays a candidate, which undo checks and skips.
 """
 
 from __future__ import annotations
@@ -185,21 +192,29 @@ def _changes(before: Mapping, after: _Working) -> tuple[frozenset, frozenset]:
 
 
 def _finish(
-    pre: AuthorizationState, pos: _Working, neg: _Working, repaired: bool = False
+    pre: AuthorizationState,
+    pos: _Working,
+    neg: _Working,
+    repaired: bool = False,
+    labelled: Mapping | None = None,
 ) -> tuple[AuthorizationState, RevocationDelta]:
     """The post-state and the delta, both from the keys the operation touched.
 
     Every post-state is handed its orphans, so no later repair in its lineage
     has to find them with a pass of its own: none after a repair, else those
-    `_orphans_after` derives from the pre-state's.  It is also handed the
-    pre-state and the touched pairs, to derive its other indexes from the
-    pre-state's when first read; nothing is derived here.
+    `_orphans_after` derives from the pre-state's.  It is handed `labelled`
+    as its label index, or else the pre-state's, if built.  It is also
+    handed the pre-state and the touched pairs, to derive its other indexes
+    from the pre-state's when first read; nothing is derived here.
     """
     deleted_pos, issued_pos = _changes(pre.positive_by_pair, pos)
     deleted_neg, issued_neg = _changes(pre.negative_by_pair, neg)
     orphans = _NOTHING if repaired else _orphans_after(pre, pos, deleted_pos, issued_pos)
+    if labelled is None:
+        labelled = pre.__dict__.get("labelled")
+    origin = (pre, pos.touched, neg.touched)
     post = AuthorizationState._trusted(
-        pre.soa, pre.principals, pre.time + 1, pos, neg, orphans, (pre, pos.touched, neg.touched)
+        pre.soa, pre.principals, pre.time + 1, pos, neg, orphans, origin, labelled
     )
     return post, RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
 
@@ -314,7 +329,12 @@ def apply_scheme(
         _strong_global(state, pos, neg, _dependents(state, i), j, label, config)
     elif label is None:  # SGD repairs in every round of its cascade
         _repair(state, pos, neg, pos.touched | neg.touched)
-    return _finish(state, pos, neg, repaired=label is None)
+    if label is None:
+        return _finish(state, pos, neg, repaired=True)
+    # The touched sets are never written again once the operation is done.
+    key, labelled = label.key, dict(state.labelled)
+    labelled[key] = labelled.get(key, ()) + (pos.touched, neg.touched)
+    return _finish(state, pos, neg, labelled=labelled)
 
 
 def _kill(pos: PosMap, neg: NegMap, pair: Pair, label: RevocationLabel | None) -> bool:
@@ -493,7 +513,8 @@ def undo_negative(
     """Lift a labelled negative revocation rooted at (grantor, grantee).
 
     Everything still carrying the operation's label is removed; reissues that
-    displaced existing content restore it instead of vacating the slot.  Plain
+    displaced existing content restore it instead of vacating the slot.  Only
+    the pairs the label index names under the label are read.  Plain
     negatives and labels rooted elsewhere are not undoable through this pair.
     """
     _require_principals(state, grantor, grantee)
@@ -502,31 +523,31 @@ def undo_negative(
         raise NothingToUndoError(
             f"no labelled negative revocation rooted at {grantor!r} -> {grantee!r}"
         )
-    key = (root.label.root_grantor, root.label.root_grantee, root.label.sequence)
-
-    def is_ours(lab: RevocationLabel | None) -> bool:
-        return lab is not None and (lab.root_grantor, lab.root_grantee, lab.sequence) == key
-
-    pos = _Working(state.positive_by_pair)
-    neg = _Working(state.negative_by_pair)
+    key = root.label.key
+    labelled = dict(state.labelled)
+    candidates = set().union(*labelled.pop(key))
+    before_pos, before_neg = state.positive_by_pair, state.negative_by_pair
+    pos = _Working(before_pos)
+    neg = _Working(before_neg)
     restored: list[Pair] = []
-    for pair, auth in state.positive_by_pair.items():
-        if auth.label is None or not is_ours(auth.label):
-            continue
-        if auth.label.restores_kind is not None:
-            pos[pair] = PositiveAuth(auth.grantor, auth.grantee, auth.label.restores_kind)
-        else:
-            del pos[pair]
-        if auth.label.restores_blocked:
-            restored.append(pair)
-    for pair, n in state.negative_by_pair.items():
-        if is_ours(n.label):
+    for pair in candidates:
+        auth = before_pos.get(pair)
+        label = None if auth is None else auth.label
+        if label is not None and label.key == key:
+            if label.restores_kind is not None:
+                pos[pair] = PositiveAuth(auth.grantor, auth.grantee, label.restores_kind)
+            else:
+                del pos[pair]
+            if label.restores_blocked:
+                restored.append(pair)
+        n = before_neg.get(pair)
+        if n is not None and n.label is not None and n.label.key == key:
             del neg[pair]
     for pair in restored:
         if pair not in neg:
             neg[pair] = NegativeAuth(*pair)
     _repair(state, pos, neg, pos.touched | neg.touched)
-    return _finish(state, pos, neg, repaired=True)
+    return _finish(state, pos, neg, repaired=True, labelled=labelled)
 
 
 # Timelines.

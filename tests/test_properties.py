@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import pickle
 from collections import Counter
 from unittest import mock
 
@@ -244,13 +245,30 @@ def constructed_states(draw, names):
     )
 
 
+def rooted_states(draw, names):
+    """A public-constructor state over `names` rooted at A in which every
+    principal has a TT chain: a spanning tree, extra TT and TF edges that
+    give chains detours, and blocks."""
+    pairs = [(a, b) for a in names for b in names if a != b]
+    kinds = {(draw(st.sampled_from(names[:k])), names[k]): TT for k in range(1, len(names))}
+    kinds.update(draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from([TT, TF]))))
+    blocked = draw(st.sets(st.sampled_from(pairs), max_size=2))
+    return AuthorizationState(
+        soa="A",
+        principals=frozenset(names),
+        positive=tuple(PositiveAuth(g, k, kind) for (g, k), kind in kinds.items()),
+        negative=tuple(NegativeAuth(g, k) for g, k in blocked),
+    )
+
+
 @st.composite
 def edited_states(draw):
     """A public-constructor state, working copies of its pair maps after
-    random edits, and an excised principal or None."""
+    random edits, and an excised principal or None.  Half the states have a
+    chain to every principal: few of the others root anything."""
     names = "ABCDEFG"[: draw(st.integers(2, 7))]
     pairs = [(a, b) for a in names for b in names if a != b]
-    state = constructed_states(draw, names)
+    state = (rooted_states if draw(st.booleans()) else constructed_states)(draw, names)
     if draw(st.booleans()):  # indexes built before or only during the recheck
         for name in ("plain_reach", "active_reach", "incoming", "outgoing", "orphans"):
             getattr(state, name)
@@ -392,22 +410,6 @@ def check_independence_against_a_rebuild(pre, op, delta, post):
         assert semantics._dependents(post, i) == active - kept - {soa}, (op, i)
 
 
-def rooted_states(draw, names):
-    """A public-constructor state over `names` rooted at A in which every
-    principal has a TT chain: a spanning tree, extra TT and TF edges that
-    give chains detours, and blocks."""
-    pairs = [(a, b) for a in names for b in names if a != b]
-    kinds = {(draw(st.sampled_from(names[:k])), names[k]): TT for k in range(1, len(names))}
-    kinds.update(draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from([TT, TF]))))
-    blocked = draw(st.sets(st.sampled_from(pairs), max_size=2))
-    return AuthorizationState(
-        soa="A",
-        principals=frozenset(names),
-        positive=tuple(PositiveAuth(g, k, kind) for (g, k), kind in kinds.items()),
-        negative=tuple(NegativeAuth(g, k) for g, k in blocked),
-    )
-
-
 @given(programs(), st.data())
 @settings(max_examples=200)
 def test_independence_on_derived_post_states_matches_a_rebuild(program, data):
@@ -436,3 +438,112 @@ def test_independence_on_a_derived_tree_that_is_no_bfs_tree():
     assert back.active_reach["D"] == "C" != back.replace_authorizations().active_reach["D"]
     check_independence_against_a_rebuild(negated, UndoOp("A", "B"), None, back)
     assert is_independent(back, "D", "C") and is_independent(back, "D", "B")
+
+
+# Label indexes handed from each state to the next, on lineages that apply
+# most of their operations.
+
+
+def lineage_start(draw):
+    """A fresh state, or a rooted one whose blocks may carry document labels,
+    some of them of a sequence the state has not reached; half the time with
+    its label index built, so that the first operations hand it on."""
+    names = NAMES[: draw(st.integers(2, 6))]
+    if draw(st.booleans()):
+        return new_state("A", names)
+    state = rooted_states(draw, names)
+    labels = st.none() | st.builds(
+        RevocationLabel, st.sampled_from(names), st.sampled_from(names), st.integers(0, 3)
+    )
+    state = state.replace_authorizations(
+        negative=[NegativeAuth(n.grantor, n.grantee, draw(labels)) for n in state.negative]
+    )
+    if draw(st.booleans()):
+        state.labelled
+    return state
+
+
+def labelled_roots(state):
+    return sorted(
+        pair for pair, n in state.negative_by_pair.items() if n.label is not None and n.label.root == pair
+    )
+
+
+def draw_operation(draw, state):
+    """An operation likely to apply to `state`: grantors from its active
+    reach, revocation targets from its positive pairs, undo roots from its
+    labelled roots."""
+    kind = draw(st.sampled_from(("revoke", "grant", "undo", "negative")))
+    if kind == "revoke" and state.positive_by_pair:
+        i, j = draw(st.sampled_from(sorted(state.positive_by_pair)))
+        return RevokeOp(draw(st.sampled_from(SCHEMES)), i, j)
+    roots = labelled_roots(state)
+    if kind == "undo" and roots:
+        return UndoOp(*draw(st.sampled_from(roots)))
+    grantor = draw(st.sampled_from(sorted(state.active_reach)))
+    grantee = draw(st.sampled_from(sorted(state.principals - {grantor})))
+    if kind == "negative":
+        return NegativeOp(grantor, grantee)
+    return GrantOp(grantor, grantee, draw(st.sampled_from([TT, TF])))
+
+
+def reference_undo(state, root):
+    """The pair maps after undoing the label on `root`, from a scan of both
+    maps for the entries carrying its key and a repair from a full pass."""
+    key = state.negative_by_pair[root].label.key
+    pos, neg = dict(state.positive_by_pair), dict(state.negative_by_pair)
+    restored = []
+    for pair, auth in state.positive_by_pair.items():
+        if auth.label is not None and auth.label.key == key:
+            if auth.label.restores_kind is None:
+                del pos[pair]
+            else:
+                pos[pair] = PositiveAuth(*pair, auth.label.restores_kind)
+            if auth.label.restores_blocked:
+                restored.append(pair)
+    for pair, n in state.negative_by_pair.items():
+        if n.label is not None and n.label.key == key:
+            del neg[pair]
+    for pair in restored:
+        neg.setdefault(pair, NegativeAuth(*pair))
+    reach = reference_reach(pos, (), state.soa)
+    return (
+        {pair: auth for pair, auth in pos.items() if pair[0] in reach},
+        {pair: n for pair, n in neg.items() if pair[0] in reach},
+    )
+
+
+def check_handed_labels(pre, op, post):
+    """`post` was handed a label index if its pre-state had one or the
+    operation was a negative scheme or an undo; the index names every pair
+    that carries a label under its key, and every labelled root of `post`
+    (and of its pickled copy) undoes as the scan-based reference does."""
+    if "labelled" in pre.__dict__ or isinstance(op, UndoOp) or (
+        isinstance(op, RevokeOp) and not op.scheme.is_delete
+    ):
+        assert "labelled" in post.__dict__, op
+    index = post.labelled
+    for by_pair in (post.positive_by_pair, post.negative_by_pair):
+        for pair, entry in by_pair.items():
+            if entry.label is not None:
+                assert any(pair in group for group in index.get(entry.label.key, ())), (op, pair)
+    back = pickle.loads(pickle.dumps(post))
+    for root in labelled_roots(post):
+        want = reference_undo(post, root)
+        for state in (post, back):
+            undone, _ = undo_negative(state, *root)
+            assert (dict(undone.positive_by_pair), dict(undone.negative_by_pair)) == want, (op, root)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_handed_label_index_on_lineages(data):
+    state = lineage_start(data.draw)
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = draw_operation(data.draw, state)
+        try:
+            post, _ = revocation.apply_step(state, op)
+        except AuthGraphError:
+            continue
+        check_handed_labels(state, op, post)
+        state = post

@@ -24,6 +24,7 @@ from authgraph import (
     NothingToUndoError,
     PositiveAuth,
     PositiveKind,
+    RevocationLabel,
     RevocationRequest,
     RevokeOp,
     Scheme,
@@ -223,6 +224,68 @@ def test_undo_on_a_fresh_lineage_state_builds_no_index(monkeypatch):
     back, _ = undo_negative(negated, "B", "C")
     assert calls == []
     assert states_equal(back, state)
+
+
+class _RecordingMap(dict):
+    """A pair map that records each key read from it and fails any walk
+    through `items`, `keys` or `values`.  Copying it into a dict takes the
+    dict's own fast path and reads nothing through these methods."""
+
+    def __init__(self, source):
+        super().__init__(source)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return dict.get(self, key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return dict.__getitem__(self, key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return dict.__contains__(self, key)
+
+    def _walk(self, *args):
+        raise AssertionError("walked a whole pair map")
+
+    items = keys = values = _walk
+
+
+def test_undo_reads_only_its_label_candidates():
+    # An undo on a large lineage state reads one by one the pairs the label
+    # index names under its key, and the pairs its repair drops; it never
+    # walks a pair map.
+    state = _indexed(large_state(seed=4))
+    for scheme in (Scheme.WLN, Scheme.WGN, Scheme.SLN, Scheme.SGN):
+        i, j = next(
+            pair
+            for pair in sorted(state.positive_by_pair)
+            if pair not in state.negative_by_pair
+            and state.active_reach.get(pair[0]) not in (None, state.soa)
+        )
+        state, _ = apply_scheme(state, RevocationRequest(scheme, i, j))
+        soa = state.soa
+        spare = next(p for p in sorted(state.principals - {soa}) if (soa, p) not in state.positive_by_pair)
+        state, _ = grant(state, soa, spare, TF)
+    roots = sorted(
+        pair for pair, n in state.negative_by_pair.items() if n.label is not None and n.label.root == pair
+    )
+    assert len(roots) == 4 and "labelled" in _indexed(state).__dict__
+    expected = {root: undo_negative(state.replace_authorizations(), *root)[0] for root in roots}
+    maps = _RecordingMap(state.positive_by_pair), _RecordingMap(state.negative_by_pair)
+    state.__dict__.update(positive_by_pair=maps[0], negative_by_pair=maps[1])
+    for root in roots:
+        key = state.negative_by_pair[root].label.key
+        candidates = set().union(*state.labelled[key])
+        for recording in maps:
+            recording.read.clear()
+        back, delta = undo_negative(state, *root)
+        changed = {(entry.grantor, entry.grantee) for part in vars(delta).values() for entry in part}
+        assert maps[0].read | maps[1].read <= candidates | changed, root
+        assert len(candidates) < len(maps[0]) // 4, root
+        assert states_equal(back, expected[root]), root
 
 
 def large_state(seed=1, n=60):
@@ -653,6 +716,29 @@ class TestUndo:
         back, _ = undo_negative(post, "A", "B")
         assert validate_connectivity(back) == []
         assert ("A", "B") not in back.negative_by_pair
+
+    @pytest.mark.parametrize("handed", [False, True])
+    def test_undo_lifts_a_document_label_of_the_same_key(self, handed):
+        # A document label may name a sequence the state has not reached yet.
+        # The scheme that runs at that time issues the same label, and its
+        # undo lifts everything carrying it, whether the pre-state scans its
+        # labels or is handed them by the grant before.
+        state = AuthorizationState(
+            soa="A",
+            principals=frozenset("ABCD"),
+            positive=tuple(PositiveAuth(g, k, TT) for g, k in ("AB", "AC", "CD")),
+            negative=(NegativeAuth("C", "D", RevocationLabel("A", "B", 1)),),
+            time=0 if handed else 1,
+        )
+        if handed:  # a grant hands on the index its pre-state has built
+            state.labelled
+            state, _ = grant(state, "A", "D", TF)
+            assert "labelled" in state.__dict__
+        negated, _ = apply_scheme(state, RevocationRequest(Scheme.WGN, "A", "B"))
+        assert negated.negative_by_pair[("A", "B")].label == RevocationLabel("A", "B", 1)
+        back, _ = undo_negative(negated, "A", "B")
+        assert ("C", "D") not in back.negative_by_pair
+        assert back.negative_by_pair == {} and edges(back) == edges(state)
 
 
 class TestCorrespondence:

@@ -331,7 +331,7 @@ def export_dot(state: AuthorizationState) -> str:
     negative edges, each sorted by endpoints.
     """
     active = state.active_reach
-    blocked = state.negative_by_pair
+    blocked = state.negative_by_pair.current()
     lines = ["digraph authorization {", "  rankdir=LR;"]
     for p in sorted(state.principals):
         attrs = " [peripheries=2]" if p == state.soa else ""

@@ -26,6 +26,23 @@ uses the private trusted path instead and hands it only the pair maps, plus
 the state's orphan grantors and its label index, both of which it derives
 from the pre-state's.
 
+The pair maps of a lineage are shallow-bound (Baker, "Shallow binding makes
+functional arrays fast", 1991; the rerooting of Conchon and Filliâtre's
+persistent union-find): each map is a `PairMap`, one version of a dict that
+all versions of the lineage share.  The newest version owns the dict; every
+older one holds the reverse diff of the pairs it differs on from the next
+newer one.  An operation writes only the pairs it touches: it edits an
+overlay while its pre-state stays current, and its commit writes the
+overlay into the dict and leaves the pre-state the old entries.  Reading an
+older version reroots the dict to it, one diff at a time and without
+recursion, so every version keeps its own entries, and reads on the current
+version stay plain dict lookups.  Indexes are built from a version without
+rerooting, and derived through the origin's diff.  Versions that share a
+dict must not be read from two threads at once.  Below `_DERIVE_MIN_ENTRIES`
+entries a map is a dict of its state's own (`_Flat`), which an operation
+copies: at a few entries a copy costs less than the bookkeeping.  A pickled
+state holds plain dicts and unpickles standalone.
+
 Every other index is built lazily from the maps, once per state: the TT
 successors by grantor, negatives ignored (`chain_children`), the grantees
 by grantor over both maps (`outgoing`), the positive authorizations by
@@ -40,19 +57,22 @@ document may carry some, and so may an engine state whose negative scheme
 weakened a TT edge; a repair leaves none.  `labelled` maps each label key
 (root grantor, root grantee, sequence) to the pairs that may carry that
 label: a superset, since an engine state inherits its pre-state's without
-dropping pairs an operation relabelled or deleted.
+dropping pairs an operation relabelled or deleted (a key goes once nothing
+carries its label).
 
 An engine state of at least `_DERIVE_MIN_ENTRIES` positive entries keeps its
 pre-state (its origin) and the pairs the operation touched.  The first read
 of an index the origin has already built copies the origin's and regroups
 only the endpoints of the touched pairs; the reach maps are patched by
-`_recheck`, the one incremental reachability primitive, which also names the
-new parent of each principal it re-admits, so a derived map is again a valid
-parent map.  Without an origin, or when the origin lacks the index (or, for
-a reach map, `chain_children`), the index is built from the maps.  A state drops its own origin when an operation takes
-it as pre-state, so no state holds more than its one predecessor, and a
-pickled state carries none.  Smaller states rebuild: there a full pass costs
-less than copying an index.
+`_recheck`, the one incremental reachability primitive, which reads the
+origin's entries at the touched pairs through its diff (`PairMap.peek`)
+and names the new parent of each principal it re-admits, so a derived map
+is again a valid parent map.  Without an origin, or when the origin lacks
+the index (or, for a reach map, `chain_children`), the index is built from
+the maps.  A state drops its own origin when an operation takes it as
+pre-state, so no state holds more than its one predecessor, and a pickled
+state carries none.  Smaller states rebuild: there a full pass costs less
+than copying an index.
 """
 
 from __future__ import annotations
@@ -60,7 +80,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ModelError
 
@@ -69,8 +89,9 @@ class cached_property:
     """`functools.cached_property` without the lock it takes on every miss
     before Python 3.12.
 
-    States are immutable, so two threads racing on a miss compute equal
-    values; the lock only cost every first use of a per-state index.
+    The lock only cost every first use of a per-state index, and it made
+    nothing safe: versions of one lineage share their pair maps' dict, so
+    states are not read from two threads at once (see the module docstring).
     """
 
     def __init__(self, func, name: str | None = None) -> None:
@@ -227,6 +248,229 @@ def _check_pair(grantor: Principal, grantee: Principal) -> None:
         raise ModelError(f"self-authorization {grantor!r} -> {grantee!r} is not allowed")
 
 
+class PairMap(Mapping):
+    """One version of a pair map: a read-only mapping whose versions share
+    one dict (see the module docstring).
+
+    The current version holds the dict (`_data`).  Any other version holds
+    the next version toward the current one (`_base`) and its own entries at
+    the pairs where the two differ (`_diff`, None where it has no entry);
+    pair maps never store None.  Reads reroot the dict to the version read.
+    Walks (`iter`, `keys`, `items`, `values`, `copy`) run over a copy, so
+    reading another version in the middle of one changes nothing it sees.
+
+    Only `current` reroots, and every read but `peek` and `_flat` goes
+    through it.  Index work on a state reroots at most to that state: a
+    build reads its version through `_flat`, a derivation its origin's
+    through `peek`.  So an operation or a query can hold the dicts of the
+    state it works on while it works.
+    """
+
+    __slots__ = ("_data", "_base", "_diff")
+
+    def __init__(self, data: dict) -> None:
+        self._data: dict | None = data
+        self._base: PairMap | None = None
+        self._diff: dict | None = None
+
+    def current(self) -> dict:
+        """The shared dict, rerooted to this version: valid until another
+        version of the lineage is read."""
+        data = self._data
+        return self._reroot() if data is None else data
+
+    def _reroot(self) -> dict:
+        path = []
+        node = self
+        while node._data is None:
+            path.append(node)
+            node = node._base
+        data = node._data
+        for older in reversed(path):
+            # Swap the diff's entries with the dict's: the same dict object
+            # becomes the newer version's diff.
+            diff = older._diff
+            for pair, entry in diff.items():
+                diff[pair] = data.get(pair)
+                if entry is None:
+                    del data[pair]
+                else:
+                    data[pair] = entry
+            node._data, node._base, node._diff = None, older, diff
+            older._data, older._base, older._diff = data, None, None
+            node = older
+        return data
+
+    def peek(self, pair: tuple[Principal, Principal]):
+        """This version's entry at `pair`, or None, read along the diffs
+        without rerooting: one step from an engine state's origin."""
+        node = self
+        while node._data is None:
+            entry = node._diff.get(pair, node)
+            if entry is not node:
+                return entry
+            node = node._base
+        return node._data.get(pair)
+
+    def _flat(self) -> dict:
+        """This version's entries without rerooting: the dict itself while
+        this version is current, else a copy with the diffs applied."""
+        path = []
+        node = self
+        while node._data is None:
+            path.append(node)
+            node = node._base
+        if not path:
+            return node._data
+        out = node._data.copy()
+        for older in reversed(path):
+            for pair, entry in older._diff.items():
+                if entry is None:
+                    del out[pair]
+                else:
+                    out[pair] = entry
+        return out
+
+    def _commit(self, touched: Mapping[tuple[Principal, Principal], object]) -> tuple:
+        """The version after the edits `touched` (pair -> new entry, None to
+        delete), with the entries they removed and added.
+
+        The edits go into the shared dict, and this version keeps the old
+        entries as its diff.  With nothing changed, the version after is
+        this one.
+        """
+        if not touched:
+            return self, _NOTHING, _NOTHING
+        data = self.current()
+        diff: dict = {}
+        removed, added = [], []
+        for pair, new in touched.items():
+            old = data.get(pair)
+            if old is new or (old is not None and new is not None and old == new):
+                continue
+            diff[pair] = old
+            if old is not None:
+                removed.append(old)
+            if new is None:
+                del data[pair]
+            else:
+                data[pair] = new
+                added.append(new)
+        if not diff:
+            return self, _NOTHING, _NOTHING
+        version = PairMap(data)
+        self._data, self._base, self._diff = None, version, diff
+        return version, frozenset(removed), frozenset(added)
+
+    # The reads the engine makes one pair at a time, with `current` inlined.
+
+    def __getitem__(self, pair):
+        data = self._data
+        return (self._reroot() if data is None else data)[pair]
+
+    def get(self, pair, default=None):
+        data = self._data
+        return (self._reroot() if data is None else data).get(pair, default)
+
+    def __contains__(self, pair) -> bool:
+        data = self._data
+        return pair in (self._reroot() if data is None else data)
+
+    def __len__(self) -> int:
+        return len(self.current())
+
+    def copy(self) -> dict:
+        """This version's entries as a plain dict of their own."""
+        return self.current().copy()
+
+    def __iter__(self) -> Iterator:
+        return iter(self.copy())
+
+    def keys(self):
+        return self.copy().keys()
+
+    def items(self):
+        return self.copy().items()
+
+    def values(self):
+        return self.copy().values()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        other = other if type(other) is dict else dict(other.items())
+        return self.current() == other
+
+    def __repr__(self) -> str:
+        return f"PairMap({self.current()!r})"
+
+    def __reduce__(self):
+        return PairMap, (self.copy(),)
+
+
+class _Flat(dict):
+    """A pair map below the size cut: a dict of its own, never shared, which
+    reads at dict speed and offers what the package reads a `PairMap`
+    through.
+
+    An operation edits a copy (`revocation._working`), with `before` the
+    dict copied: while the operation runs, the copy records each pair
+    written in `touched` as `_Working` does, and `commit` takes the delta;
+    the post-state keeps the copy, which nothing writes again.
+    """
+
+    __slots__ = ("before", "touched")
+
+    def __setitem__(self, pair, entry) -> None:
+        self.touched[pair] = entry
+        dict.__setitem__(self, pair, entry)
+
+    def __delitem__(self, pair) -> None:
+        dict.__delitem__(self, pair)
+        self.touched[pair] = None
+
+    def pop(self, pair, *default):
+        if pair in self:
+            self.touched[pair] = None
+        return dict.pop(self, pair, *default)
+
+    def commit(self) -> tuple:
+        """This map as the post-state's, with the entries the edits removed
+        and added: `PairMap._commit`'s loop, less the writes."""
+        before, self.before = self.before, None
+        if not self.touched:
+            return self, _NOTHING, _NOTHING
+        removed, added = [], []
+        for pair, new in self.touched.items():
+            old = before.get(pair)
+            if old is new or (old is not None and new is not None and old == new):
+                continue
+            if old is not None:
+                removed.append(old)
+            if new is not None:
+                added.append(new)
+        return self, frozenset(removed), frozenset(added)
+
+    def current(self) -> dict:
+        return self
+
+    _flat = current
+    peek = dict.get
+
+    def __reduce__(self):
+        # Not through `__setitem__`, which only a working copy may call.
+        return _Flat, (dict(self),)
+
+
+def _own_map(data: dict) -> PairMap | _Flat:
+    """A state's own map of `data`: shared versions from the size cut on."""
+    return PairMap(data) if len(data) >= _DERIVE_MIN_ENTRIES else _Flat(data)
+
+
+_NOTHING: frozenset = frozenset()
+_NO_ENTRY = {}.get  # a lookup that finds nothing
+
+
 @dataclass(frozen=True)
 class AuthorizationState:
     """One authorization graph for a fixed (access type, object) pair."""
@@ -237,12 +481,8 @@ class AuthorizationState:
     negative: tuple[NegativeAuth, ...]
     time: int = 0
     # The ground truth; `positive` and `negative` are sorted from these.
-    positive_by_pair: Mapping[tuple[Principal, Principal], PositiveAuth] = field(
-        init=False, repr=False, compare=False
-    )
-    negative_by_pair: Mapping[tuple[Principal, Principal], NegativeAuth] = field(
-        init=False, repr=False, compare=False
-    )
+    positive_by_pair: PairMap | _Flat = field(init=False, repr=False, compare=False)
+    negative_by_pair: PairMap | _Flat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.soa:
@@ -259,8 +499,8 @@ class AuthorizationState:
         self.__dict__.update(
             positive=_sorted_entries(positive),
             negative=_sorted_entries(negative),
-            positive_by_pair=positive,
-            negative_by_pair=negative,
+            positive_by_pair=_own_map(positive),
+            negative_by_pair=_own_map(negative),
         )
 
     @classmethod
@@ -269,8 +509,8 @@ class AuthorizationState:
         soa: Principal,
         principals: frozenset[Principal],
         time: int,
-        positive_by_pair: Mapping[tuple[Principal, Principal], PositiveAuth],
-        negative_by_pair: Mapping[tuple[Principal, Principal], NegativeAuth],
+        positive_by_pair: PairMap | _Flat,
+        negative_by_pair: PairMap | _Flat,
         orphans: frozenset[Principal] | None = None,
         origin: "tuple[AuthorizationState, Collection, Collection] | None" = None,
         labelled: "Mapping[LabelKey, tuple[Collection, ...]] | None" = None,
@@ -279,7 +519,8 @@ class AuthorizationState:
         already valid.
 
         Nothing is checked or sorted: the caller guarantees everything
-        `__post_init__` checks, and that the maps are never mutated again.
+        `__post_init__` checks, and that the maps are versions no other
+        state edits.
         `positive` and `negative` are sorted from the maps on first read
         (see below the class).  `orphans`, when given, must equal what the
         index of that name would compute; `labelled`, when given, must name
@@ -312,10 +553,18 @@ class AuthorizationState:
     _origin = None
 
     def __getstate__(self) -> dict:
-        # The origin only saves index work; a pickled state stands alone.
+        # The origin only saves index work; a pickled state stands alone,
+        # with plain dicts for maps.
         fields = dict(self.__dict__)
         fields.pop("_origin", None)
+        fields["positive_by_pair"] = self.positive_by_pair.copy()
+        fields["negative_by_pair"] = self.negative_by_pair.copy()
         return fields
+
+    def __setstate__(self, fields: dict) -> None:
+        fields["positive_by_pair"] = _own_map(fields["positive_by_pair"])
+        fields["negative_by_pair"] = _own_map(fields["negative_by_pair"])
+        self.__dict__.update(fields)
 
     # Derived indexes.  States are immutable, so caching per instance is safe.
     # A derived index may share objects with its origin's, so no index is
@@ -324,7 +573,7 @@ class AuthorizationState:
     @_index
     def chain_children(self) -> Mapping[Principal, tuple[Principal, ...]]:
         """TT successors per principal, negatives ignored (plain chain edges)."""
-        return {p: tuple(cs) for p, cs in _tt_adjacency(self.positive_by_pair).items()}
+        return {p: tuple(cs) for p, cs in _tt_adjacency(self.positive_by_pair._flat()).items()}
 
     @_index
     def plain_reach(self) -> Mapping[Principal, Principal | None]:
@@ -336,13 +585,13 @@ class AuthorizationState:
     def active_reach(self) -> Mapping[Principal, Principal | None]:
         """Principals with an active rooted delegation chain, each mapped to
         its parent in a tree of such chains."""
-        return _bfs(self.chain_children, self.soa, self.negative_by_pair)
+        return _bfs(self.chain_children, self.soa, self.negative_by_pair._flat())
 
     @_index
     def incoming(self) -> Mapping[Principal, tuple[PositiveAuth, ...]]:
         """Positive authorizations per grantee, in no particular order."""
         out: dict[Principal, list[PositiveAuth]] = {}
-        for auth in self.positive_by_pair.values():
+        for auth in self.positive_by_pair._flat().values():
             out.setdefault(auth.grantee, []).append(auth)
         return {p: tuple(auths) for p, auths in out.items()}
 
@@ -350,9 +599,9 @@ class AuthorizationState:
     def outgoing(self) -> Mapping[Principal, tuple[Principal, ...]]:
         """Grantees per grantor over both pair maps, each pair once."""
         out: dict[Principal, list[Principal]] = {}
-        positive = self.positive_by_pair
+        positive, negative = self.positive_by_pair._flat(), self.negative_by_pair._flat()
         for grantor, grantee in chain(
-            positive, (pair for pair in self.negative_by_pair if pair not in positive)
+            positive, (pair for pair in negative if pair not in positive)
         ):
             out.setdefault(grantor, []).append(grantee)
         return {p: tuple(grantees) for p, grantees in out.items()}
@@ -371,7 +620,8 @@ class AuthorizationState:
         built = origin.__dict__
         if name not in built:
             return None
-        positive, negative = self.positive_by_pair, self.negative_by_pair
+        # Nothing below reroots (see `PairMap`): these stay this state's.
+        positive, negative = self.positive_by_pair.current(), self.negative_by_pair.current()
         plain = name in _PLAIN
         touched = pos_touched if plain else chain(pos_touched, neg_touched)
         if name.endswith("_reach"):
@@ -415,7 +665,7 @@ class AuthorizationState:
         docstring)."""
         out: dict[LabelKey, list[tuple[Principal, Principal]]] = {}
         for by_pair in (self.positive_by_pair, self.negative_by_pair):
-            for pair, entry in by_pair.items():
+            for pair, entry in by_pair._flat().items():
                 if entry.label is not None:
                     out.setdefault(entry.label.key, []).append(pair)
         return {key: (pairs,) for key, pairs in out.items()}
@@ -442,10 +692,10 @@ class AuthorizationState:
 # them for field defaults.  Not a `__getattr__` fallback: CPython does not
 # specialize attribute reads on a class that has one, which slowed every query.
 AuthorizationState.positive = cached_property(
-    lambda state: _sorted_entries(state.positive_by_pair), "positive"
+    lambda state: _sorted_entries(state.positive_by_pair._flat()), "positive"
 )
 AuthorizationState.negative = cached_property(
-    lambda state: _sorted_entries(state.negative_by_pair), "negative"
+    lambda state: _sorted_entries(state.negative_by_pair._flat()), "negative"
 )
 
 
@@ -480,7 +730,7 @@ def _pair_map(
     return by_pair
 
 
-def _sorted_entries(by_pair: Mapping[tuple[Principal, Principal], object]) -> tuple:
+def _sorted_entries(by_pair: dict[tuple[Principal, Principal], object]) -> tuple:
     """The entries of a pair map as a tuple sorted by pair."""
     return tuple(map(by_pair.__getitem__, sorted(by_pair)))
 
@@ -528,15 +778,17 @@ def _recheck(
     parents, is again a parent map: every parent edge live, every chain of
     parents ending at the SOA.
     """
-    before, get = state.positive_by_pair, pos.get
+    # The state's own entries are read only at the touched pairs, through
+    # its diffs: it need not be the current version of its maps.
+    before, get = state.positive_by_pair.peek, pos.get
     if active:
-        blocked_before, blocked = state.negative_by_pair, neg
+        blocked_before, blocked = state.negative_by_pair.peek, neg
     else:
-        blocked_before = blocked = ()
+        blocked_before, blocked = _NO_ENTRY, ()
     cuts, added = [], {}
     for pair in touched:
-        old, new = before.get(pair), get(pair)
-        was = old is not None and old.kind is _TT and pair not in blocked_before
+        old, new = before(pair), get(pair)
+        was = old is not None and old.kind is _TT and blocked_before(pair) is None
         if new is not None and new.kind is _TT and pair not in blocked:
             if not was:
                 added.setdefault(pair[0], []).append(pair[1])

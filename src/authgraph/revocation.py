@@ -38,10 +38,16 @@ Design notes that the code below relies on:
   pair new to the state, and one of the pre-state's own orphans (a document
   may carry them, and so may the post-state of a negative scheme that
   weakened a TT edge; a repair leaves none).
-* Every operation works on copies of the pre-state's pair maps that record
-  each key written or deleted.  The delta is built from those keys alone, and
-  the post-state takes the working maps as its pair maps; nothing is sorted.
-  The engine reads states only through their pair maps and indexes, never
+* Every operation writes into overlays over the pre-state's pair maps
+  (`_Working`), which record each pair written or deleted; the pre-state
+  stays current and unchanged until `_finish`, so a failing operation has
+  written nothing, and every pre-state read and every pre-state index
+  first built mid-operation sees the pre-state.  `_finish` commits each
+  overlay into the lineage's shared dict, leaves the pre-state the old
+  entries as its diff (`model.PairMap`), and takes the delta from the same
+  loop.  Below the size cut an operation edits a copy instead (`_working`);
+  above it nothing is copied, and nothing is sorted.  The
+  engine reads states only through their pair maps and indexes, never
   through the sorted `positive`/`negative` tuples.
 * "Who keeps a chain?" is answered by one primitive, `model._recheck`, from
   the pre-state's parent map and the pairs the working copies touched:
@@ -63,13 +69,16 @@ Design notes that the code below relies on:
   already under that key: a document label may carry the same key); an undo
   hands it on less its key; every other operation hands the pre-state's on
   as it is, or none if the pre-state has none.  So a pair that an operation
-  relabels or deletes stays a candidate, which undo checks and skips.
+  relabels or deletes stays a candidate, which undo checks and skips.  A
+  key goes once an operation removes an entry carrying it and none of its
+  candidates carries it any more.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Mapping, MutableMapping
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, MutableMapping
 
 from .errors import (
     DowngradeError,
@@ -86,6 +95,7 @@ from .model import (
     NegativeAuth,
     NegativeOp,
     Operation,
+    PairMap,
     PositiveAuth,
     PositiveKind,
     Principal,
@@ -96,45 +106,101 @@ from .model import (
     Timeline,
     TimelineStep,
     UndoOp,
+    _Flat,
+    _NOTHING,
     _recheck,
     _TT,
 )
+from . import model
 from .semantics import _dependents, _require_principals
 
 Pair = tuple[Principal, Principal]
 PosMap = MutableMapping[Pair, PositiveAuth]
 NegMap = MutableMapping[Pair, NegativeAuth]
 _DEFAULT_CONFIG = EngineConfig()
-_NOTHING: frozenset = frozenset()
 
 
-class _Working(dict):
-    """Working copy of one of a state's pair maps; remembers every key it wrote or deleted.
+class _Working(MutableMapping):
+    """An operation's edits to one of its pre-state's pair maps, over that
+    map, which stays as it is until `_finish` commits them.
 
-    The engine mutates these only through item assignment, `del` and `pop`.
-    A post-state keeps its working maps; they pickle as plain dicts.
+    `touched` maps every pair written or deleted to its new entry, None
+    for a deletion.  Reads look there first, then in `before`, the
+    pre-state's dict, which nothing reroots before the commit.
     """
 
-    __slots__ = ("touched",)
+    __slots__ = ("base", "before", "touched")
 
-    def __init__(self, source: Mapping) -> None:
-        dict.__init__(self, source)
-        self.touched: set[Pair] = set()
+    def __init__(self, base: PairMap) -> None:
+        self.base = base
+        self.before = base.current()
+        self.touched: dict[Pair, object] = {}
 
-    def __setitem__(self, key: Pair, value) -> None:
-        self.touched.add(key)
-        dict.__setitem__(self, key, value)
+    def get(self, pair: Pair, default=None):
+        entry = self.touched.get(pair, self)
+        if entry is self:
+            return self.before.get(pair, default)
+        return default if entry is None else entry
 
-    def __delitem__(self, key: Pair) -> None:
-        self.touched.add(key)
-        dict.__delitem__(self, key)
+    def __contains__(self, pair) -> bool:
+        entry = self.touched.get(pair, self)
+        return pair in self.before if entry is self else entry is not None
 
-    def pop(self, key: Pair, *default):
-        self.touched.add(key)
-        return dict.pop(self, key, *default)
+    def __getitem__(self, pair: Pair):
+        entry = self.get(pair)
+        if entry is None:
+            raise KeyError(pair)
+        return entry
 
-    def __reduce__(self):
-        return dict, (dict(self),)
+    def __setitem__(self, pair: Pair, entry) -> None:
+        self.touched[pair] = entry
+
+    def __delitem__(self, pair: Pair) -> None:
+        self.pop(pair)
+
+    def pop(self, pair: Pair, *default):
+        entry = self.get(pair)
+        if entry is None:
+            if default:
+                return default[0]
+            raise KeyError(pair)
+        self.touched[pair] = None
+        return entry
+
+    def _merged(self) -> dict:
+        out = self.before.copy()
+        for pair, entry in self.touched.items():
+            if entry is None:
+                out.pop(pair, None)
+            else:
+                out[pair] = entry
+        return out
+
+    def __iter__(self) -> Iterator[Pair]:
+        return iter(self._merged())
+
+    def __len__(self) -> int:
+        return len(self._merged())
+
+    def commit(self) -> tuple[PairMap, frozenset, frozenset]:
+        """The post-state's version of the map, with the entries the edits
+        removed and added."""
+        return self.base._commit(self.touched)
+
+
+def _working(base: PairMap | _Flat) -> _Working | _Flat:
+    """The working map an operation edits `base` through: an overlay, or
+    below the size cut (`model._DERIVE_MIN_ENTRIES`) a copy, which reads at
+    dict speed and at a few entries costs less than an overlay's reads.  A
+    copy that grew to the cut is copied once more, into versions shared
+    from then on."""
+    flat = type(base) is _Flat
+    data = base if flat else base.current()
+    if len(data) < model._DERIVE_MIN_ENTRIES:
+        copy = _Flat(data)
+        copy.before, copy.touched = data, {}
+        return copy
+    return _Working(PairMap(data.copy()) if flat else base)
 
 
 def _repair(
@@ -152,7 +218,7 @@ def _repair(
     unrooted, gained, _ = _recheck(state, pos, neg, touched, False)
     if state.orphans:
         unrooted |= state.orphans - gained
-    before_pos, before_neg = state.positive_by_pair, state.negative_by_pair
+    before_pos, before_neg = state.positive_by_pair.current(), state.negative_by_pair.current()
     added = []
     for pair in touched:
         if (pair in pos or pair in neg) and pair not in before_pos and pair not in before_neg:
@@ -175,53 +241,83 @@ def _repair(
     return dropped
 
 
-def _changes(before: Mapping, after: _Working) -> tuple[frozenset, frozenset]:
-    """The values removed from and added to `before`, from the touched pairs."""
-    if not after.touched:
-        return _NOTHING, _NOTHING
-    removed, added = [], []
-    for pair in after.touched:
-        old, new = before.get(pair), after.get(pair)
-        if old is new or (old is not None and new is not None and old == new):
-            continue
-        if old is not None:
-            removed.append(old)
-        if new is not None:
-            added.append(new)
-    return frozenset(removed), frozenset(added)
-
-
 def _finish(
     pre: AuthorizationState,
-    pos: _Working,
-    neg: _Working,
+    pos: _Working | _Flat | None,
+    neg: _Working | _Flat | None,
     repaired: bool = False,
     labelled: Mapping | None = None,
 ) -> tuple[AuthorizationState, RevocationDelta]:
-    """The post-state and the delta, both from the keys the operation touched.
+    """The post-state and the delta, both from the pairs the operation touched.
 
-    Every post-state is handed its orphans, so no later repair in its lineage
+    Each working map is committed: an overlay's edits go into the shared
+    dict as the post-state's version of the map, the pre-state keeps the old
+    entries (`PairMap._commit`), and the same loop yields the entries
+    deleted and issued; a copy becomes the post-state's map.  Every
+    post-state is handed its orphans, so no later repair in its lineage
     has to find them with a pass of its own: none after a repair, else those
     `_orphans_after` derives from the pre-state's.  It is handed `labelled`
-    as its label index, or else the pre-state's, if built.  It is also
-    handed the pre-state and the touched pairs, to derive its other indexes
-    from the pre-state's when first read; nothing is derived here.
+    as its label index, or else the pre-state's, if built, less the keys
+    whose last carrier this operation removed.  It is also handed the
+    pre-state and the touched pairs, to derive its other indexes from the
+    pre-state's when first read; nothing is derived here.
     """
-    deleted_pos, issued_pos = _changes(pre.positive_by_pair, pos)
-    deleted_neg, issued_neg = _changes(pre.negative_by_pair, neg)
-    orphans = _NOTHING if repaired else _orphans_after(pre, pos, deleted_pos, issued_pos)
+    # No working map: the operation writes none of that map's entries, and
+    # the post-state shares the pre-state's.
+    if pos is None:
+        positive, deleted_pos, issued_pos = pre.positive_by_pair, _NOTHING, _NOTHING
+        pos_touched = {}
+    else:
+        (positive, deleted_pos, issued_pos), pos_touched = pos.commit(), pos.touched
+    if neg is None:
+        negative, deleted_neg, issued_neg = pre.negative_by_pair, _NOTHING, _NOTHING
+        neg_touched = {}
+    else:
+        (negative, deleted_neg, issued_neg), neg_touched = neg.commit(), neg.touched
+    orphans = (
+        _NOTHING
+        if repaired
+        else _orphans_after(pre, positive, pos_touched, deleted_pos, issued_pos)
+    )
     if labelled is None:
         labelled = pre.__dict__.get("labelled")
-    origin = (pre, pos.touched, neg.touched)
+    if labelled and (deleted_pos or deleted_neg):
+        labelled = _drop_dead_keys(labelled, positive, negative, chain(deleted_pos, deleted_neg))
+    origin = (pre, pos_touched, neg_touched)
     post = AuthorizationState._trusted(
-        pre.soa, pre.principals, pre.time + 1, pos, neg, orphans, origin, labelled
+        pre.soa, pre.principals, pre.time + 1, positive, negative, orphans, origin, labelled
     )
     return post, RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
 
 
+def _drop_dead_keys(
+    labelled: Mapping, positive: PairMap, negative: PairMap, removed: Iterable
+) -> Mapping:
+    """`labelled` less the keys of the `removed` entries that none of the
+    key's candidates carries in the new maps; a copy if any key goes."""
+    out = labelled
+    for entry in removed:
+        key = None if entry.label is None else entry.label.key
+        if key is None or key not in out:
+            continue
+        if not any(
+            (found := by_pair.get(pair)) is not None
+            and found.label is not None
+            and found.label.key == key
+            for group in out[key]
+            for pair in group
+            for by_pair in (positive, negative)
+        ):
+            if out is labelled:
+                out = dict(labelled)
+            del out[key]
+    return out
+
+
 def _orphans_after(
     pre: AuthorizationState,
-    pos: _Working,
+    positive: PairMap | _Flat,
+    touched: Iterable[Pair],
     deleted: frozenset[PositiveAuth],
     issued: frozenset[PositiveAuth],
 ) -> frozenset[Principal]:
@@ -237,11 +333,11 @@ def _orphans_after(
     cut = False
     for auth in deleted:
         if auth.kind is _TT:
-            now = pos.get((auth.grantor, auth.grantee))
+            now = positive.get((auth.grantor, auth.grantee))
             cut |= now is None or now.kind is not _TT
     if not cut and not (orphans and any(auth.kind is _TT for auth in issued)):
         return orphans
-    lost, gained, _ = _recheck(pre, pos, (), pos.touched, False)
+    lost, gained, _ = _recheck(pre, positive, (), touched, False)
     grantors = pre.outgoing
     return frozenset(orphans - gained | {p for p in lost if p in grantors})
 
@@ -266,14 +362,14 @@ def grant(
         raise SelfOperationError(f"{grantor!r} cannot grant to itself")
     if grantor not in state.active_reach:
         raise InactiveGrantorError(f"{grantor!r} has no active rooted delegation chain")
-    existing = state.positive_by_pair.get((grantor, grantee))
+    pos = _working(state.positive_by_pair)
+    existing = pos.get((grantor, grantee))
     if existing is not None and existing.kind is PositiveKind.TT and kind is PositiveKind.TF:
         raise DowngradeError(
             f"{grantor!r} -> {grantee!r} already delegates; downgrade to access-only refused"
         )
-    pos = _Working(state.positive_by_pair)
     pos[(grantor, grantee)] = PositiveAuth(grantor, grantee, kind)
-    return _finish(state, pos, _Working(state.negative_by_pair))
+    return _finish(state, pos, None)
 
 
 def issue_negative(
@@ -285,13 +381,13 @@ def issue_negative(
         raise SelfOperationError(f"{grantor!r} cannot issue a negative against itself")
     if grantor not in state.active_reach:
         raise InactiveGrantorError(f"{grantor!r} has no active rooted delegation chain")
-    if (grantor, grantee) in state.negative_by_pair:
+    neg = _working(state.negative_by_pair)
+    if (grantor, grantee) in neg:
         raise DuplicateNegativeError(
             f"negative authorization {grantor!r} -> {grantee!r} already present"
         )
-    neg = _Working(state.negative_by_pair)
     neg[(grantor, grantee)] = NegativeAuth(grantor, grantee)
-    return _finish(state, _Working(state.positive_by_pair), neg)
+    return _finish(state, None, neg)
 
 
 # Revocation schemes.
@@ -306,19 +402,19 @@ def apply_scheme(
     config = config or _DEFAULT_CONFIG
     scheme, i, j = request.scheme, request.revoker, request.target
     _require_principals(state, i, j)
-    if (i, j) not in state.positive_by_pair:
+    pos = _working(state.positive_by_pair)
+    neg = _working(state.negative_by_pair)
+    if (i, j) not in pos:
         raise MissingAuthorizationError(
             f"no positive authorization from {i!r} to {j!r} to revoke"
         )
     label = None
     if not scheme.is_delete:
-        if (i, j) in state.negative_by_pair:
+        if (i, j) in neg:
             raise DuplicateNegativeError(
                 f"negative authorization {i!r} -> {j!r} already present"
             )
         label = RevocationLabel(i, j, sequence=state.time)
-    pos = _Working(state.positive_by_pair)
-    neg = _Working(state.negative_by_pair)
 
     _kill(pos, neg, (i, j), label)
     if scheme.is_local:
@@ -331,7 +427,7 @@ def apply_scheme(
         _repair(state, pos, neg, pos.touched | neg.touched)
     if label is None:
         return _finish(state, pos, neg, repaired=True)
-    # The touched sets are never written again once the operation is done.
+    # The touched maps are never written again once the operation is done.
     key, labelled = label.key, dict(state.labelled)
     labelled[key] = labelled.get(key, ()) + (pos.touched, neg.touched)
     return _finish(state, pos, neg, labelled=labelled)
@@ -404,10 +500,10 @@ def _reroot(
         return
 
     j_was_active = j in state.active_reach
-    blocked_pre = state.negative_by_pair
+    before, blocked_pre = pos.before, neg.before
     for k in grantees:
         pair = (j, k)
-        auth = state.positive_by_pair.get(pair)
+        auth = before.get(pair)
         if auth is None or k == i:
             continue
         if j_was_active and pair not in blocked_pre:
@@ -478,8 +574,7 @@ def _strong_global(
     blocks, so a second pass over the same grantee would kill nothing.
     """
     active_pre = state.active_reach
-    before = state.positive_by_pair
-    blocked_pre = state.negative_by_pair
+    before, blocked_pre = pos.before, neg.before
     killed_into = {j}
     dominated: set[Principal] = set()
     while True:
@@ -526,9 +621,9 @@ def undo_negative(
     key = root.label.key
     labelled = dict(state.labelled)
     candidates = set().union(*labelled.pop(key))
-    before_pos, before_neg = state.positive_by_pair, state.negative_by_pair
-    pos = _Working(before_pos)
-    neg = _Working(before_neg)
+    pos = _working(state.positive_by_pair)
+    neg = _working(state.negative_by_pair)
+    before_pos, before_neg = pos.before, neg.before
     restored: list[Pair] = []
     for pair in candidates:
         auth = before_pos.get(pair)

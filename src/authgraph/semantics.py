@@ -102,7 +102,8 @@ def _dependents(state: AuthorizationState, i: Principal) -> set[Principal]:
         # Needed, not a shortcut: the recheck below would excise the SOA and
         # count it among the lost, and strong dominance would kill its grants.
         return state.active_reach.keys() - {i}
-    return _recheck(state, state.positive_by_pair, state.negative_by_pair, (), True, i)[0]
+    positive, negative = state.positive_by_pair.current(), state.negative_by_pair.current()
+    return _recheck(state, positive, negative, (), True, i)[0]
 
 
 def is_auth_active(

@@ -370,17 +370,29 @@ def check_derived_indexes(state):
 @settings(max_examples=400)
 def test_derivation_matches_a_rebuild(case, built):
     state, pos, neg, _ = case
-    for name in built:  # the origin may have built any of its indexes, or none
-        getattr(state, name)
-    before = {name: copy.deepcopy(state.__dict__[name]) for name in DERIVED if name in state.__dict__}
     with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0):
+        # the same state and edits over shared versions, so that the commit
+        # leaves the origin a diff to be read through
+        state = state.replace_authorizations()
+        pos, neg = _rebase(pos, state.positive_by_pair), _rebase(neg, state.negative_by_pair)
+        for name in built:  # the origin may have built any of its indexes, or none
+            getattr(state, name)
+        before = {name: copy.deepcopy(state.__dict__[name]) for name in DERIVED if name in state.__dict__}
+        (positive, *_), (negative, *_) = pos.commit(), neg.commit()
         derived = AuthorizationState._trusted(
-            state.soa, state.principals, state.time + 1, pos, neg, None, (state, pos.touched, neg.touched)
+            state.soa, state.principals, state.time + 1, positive, negative, None, (state, pos.touched, neg.touched)
         )
     assert derived.__dict__["_origin"][0] is state
     check_derived_indexes(derived)
     for name, index in before.items():  # the origin's indexes are never changed
         assert state.__dict__[name] == index, name
+
+
+def _rebase(work, base):
+    """An overlay over `base` with the edits of the overlay `work`."""
+    out = revocation._Working(base)
+    out.touched.update(work.touched)
+    return out
 
 
 @given(programs())

@@ -38,9 +38,9 @@ older version reroots the dict to it, one diff at a time and without
 recursion, so every version keeps its own entries, and reads on the current
 version stay plain dict lookups.  Indexes are built from a version without
 rerooting, and derived through the origin's diff.  Versions that share a
-dict must not be read from two threads at once.  Below `_DERIVE_MIN_ENTRIES`
+dict must not be read from two threads at once.  Below `_SHARE_MIN_ENTRIES`
 entries a map is a dict of its state's own (`_Flat`), which an operation
-copies: at a few entries a copy costs less than the bookkeeping.  A pickled
+copies: there a copy costs less than the bookkeeping.  A pickled
 state holds plain dicts and unpickles standalone.
 
 Every other index is built lazily from the maps, once per state: the TT
@@ -109,7 +109,7 @@ class cached_property:
 class _index(cached_property):
     """A per-state index: derived from the state's origin when that has
     built what it takes (`AuthorizationState._derive`), else built by the
-    decorated function, as it always is below the size cut."""
+    decorated function, as it always is below `_DERIVE_MIN_ENTRIES`."""
 
     def __get__(self, instance, owner=None):
         if instance is None:
@@ -133,6 +133,17 @@ LabelKey = tuple[Principal, Principal, int]
 # post-state cost the same both ways between 10 and 16 entries; at 32 they
 # took 16 us derived against 25 rebuilt, at 256 17 against 135.
 _DERIVE_MIN_ENTRIES = 32
+
+# Maps with fewer entries than this are each a dict of their state's own
+# (`_Flat`), which an operation copies; from this size on, the versions of a
+# lineage share one dict (`PairMap`).  A shared map's reads are Python calls
+# where a copy's are dict lookups, so sharing pays only once the copy costs
+# more than the reads.  On seeded graphs (a round of 3 grants, the eight
+# schemes and their undos on one pre-state, with a query on each post-state,
+# the two ways interleaved in one process on a 2-vCPU VM), sharing made a
+# round 12% slower at 32 entries, 10% at 100 and 7% at 300 and 500, and 4%
+# faster at 700, 7% at 1 000 and 24% at 2 000.
+_SHARE_MIN_ENTRIES = 600
 
 
 class PositiveKind(Enum):
@@ -342,25 +353,18 @@ class PairMap(Mapping):
         if not touched:
             return self, _NOTHING, _NOTHING
         data = self.current()
-        diff: dict = {}
-        removed, added = [], []
-        for pair, new in touched.items():
-            old = data.get(pair)
-            if old is new or (old is not None and new is not None and old == new):
-                continue
-            diff[pair] = old
-            if old is not None:
-                removed.append(old)
+        diff, removed, added = _delta(touched, data)
+        if not diff:
+            return self, _NOTHING, _NOTHING
+        for pair in diff:
+            new = touched[pair]
             if new is None:
                 del data[pair]
             else:
                 data[pair] = new
-                added.append(new)
-        if not diff:
-            return self, _NOTHING, _NOTHING
         version = PairMap(data)
         self._data, self._base, self._diff = None, version, diff
-        return version, frozenset(removed), frozenset(added)
+        return version, removed, added
 
     # The reads the engine makes one pair at a time, with `current` inlined.
 
@@ -409,7 +413,7 @@ class PairMap(Mapping):
 
 
 class _Flat(dict):
-    """A pair map below the size cut: a dict of its own, never shared, which
+    """A pair map below the share cut: a dict of its own, never shared, which
     reads at dict speed and offers what the package reads a `PairMap`
     through.
 
@@ -436,20 +440,12 @@ class _Flat(dict):
 
     def commit(self) -> tuple:
         """This map as the post-state's, with the entries the edits removed
-        and added: `PairMap._commit`'s loop, less the writes."""
+        and added."""
         before, self.before = self.before, None
         if not self.touched:
             return self, _NOTHING, _NOTHING
-        removed, added = [], []
-        for pair, new in self.touched.items():
-            old = before.get(pair)
-            if old is new or (old is not None and new is not None and old == new):
-                continue
-            if old is not None:
-                removed.append(old)
-            if new is not None:
-                added.append(new)
-        return self, frozenset(removed), frozenset(added)
+        _, removed, added = _delta(self.touched, before)
+        return self, removed, added
 
     def current(self) -> dict:
         return self
@@ -463,11 +459,31 @@ class _Flat(dict):
 
 
 def _own_map(data: dict) -> PairMap | _Flat:
-    """A state's own map of `data`: shared versions from the size cut on."""
-    return PairMap(data) if len(data) >= _DERIVE_MIN_ENTRIES else _Flat(data)
+    """A state's own map of `data`: shared versions from the share cut on."""
+    return PairMap(data) if len(data) >= _SHARE_MIN_ENTRIES else _Flat(data)
 
 
 _NOTHING: frozenset = frozenset()
+
+
+def _delta(touched: Mapping, before: Mapping) -> tuple[dict, frozenset, frozenset]:
+    """The pairs of `touched` (pair -> new entry, None to delete) whose entry
+    differs in `before`, each mapped to its entry there (None for none), and
+    the entries the edits remove and add: what a commit writes and reports."""
+    diff: dict = {}
+    removed, added = [], []
+    for pair, new in touched.items():
+        old = before.get(pair)
+        if old is new or (old is not None and new is not None and old == new):
+            continue
+        diff[pair] = old
+        if old is not None:
+            removed.append(old)
+        if new is not None:
+            added.append(new)
+    return diff, frozenset(removed), frozenset(added)
+
+
 _NO_ENTRY = {}.get  # a lookup that finds nothing
 
 
@@ -549,7 +565,8 @@ class AuthorizationState:
         return state
 
     # (pre-state, touched positive pairs, touched negative pairs), handed by
-    # `_trusted` to a state above the size cut until it becomes an origin.
+    # `_trusted` to a state of `_DERIVE_MIN_ENTRIES` or more until it becomes
+    # an origin.
     _origin = None
 
     def __getstate__(self) -> dict:

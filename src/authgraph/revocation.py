@@ -45,10 +45,10 @@ Design notes that the code below relies on:
   first built mid-operation sees the pre-state.  `_finish` commits each
   overlay into the lineage's shared dict, leaves the pre-state the old
   entries as its diff (`model.PairMap`), and takes the delta from the same
-  loop.  Below the size cut an operation edits a copy instead (`_working`);
-  above it nothing is copied, and nothing is sorted.  The
-  engine reads states only through their pair maps and indexes, never
-  through the sorted `positive`/`negative` tuples.
+  loop.  Below the share cut (`model._SHARE_MIN_ENTRIES`) an operation
+  edits a copy instead (`_working`); above it nothing is copied, and
+  nothing is sorted.  The engine reads states only through their pair maps
+  and indexes, never through the sorted `positive`/`negative` tuples.
 * "Who keeps a chain?" is answered by one primitive, `model._recheck`, from
   the pre-state's parent map and the pairs the working copies touched:
   only the tree subtrees under cut edges are rechecked, so no adjacency is
@@ -190,13 +190,12 @@ class _Working(MutableMapping):
 
 def _working(base: PairMap | _Flat) -> _Working | _Flat:
     """The working map an operation edits `base` through: an overlay, or
-    below the size cut (`model._DERIVE_MIN_ENTRIES`) a copy, which reads at
-    dict speed and at a few entries costs less than an overlay's reads.  A
-    copy that grew to the cut is copied once more, into versions shared
-    from then on."""
+    below the share cut (`model._SHARE_MIN_ENTRIES`) a copy, which reads at
+    dict speed and there costs less than an overlay's reads.  A copy that
+    grew to the cut is copied once more, into versions shared from then on."""
     flat = type(base) is _Flat
     data = base if flat else base.current()
-    if len(data) < model._DERIVE_MIN_ENTRIES:
+    if len(data) < model._SHARE_MIN_ENTRIES:
         copy = _Flat(data)
         copy.before, copy.touched = data, {}
         return copy
@@ -295,12 +294,12 @@ def _drop_dead_keys(
 ) -> Mapping:
     """`labelled` less the keys of the `removed` entries that none of the
     key's candidates carries in the new maps; a copy if any key goes."""
-    out = labelled
+    out, seen = labelled, set()
     for entry in removed:
-        key = None if entry.label is None else entry.label.key
-        if key is None or key not in out:
+        if entry.label is None or (key := entry.label.key) in seen:
             continue
-        if not any(
+        seen.add(key)
+        if key not in out or any(
             (found := by_pair.get(pair)) is not None
             and found.label is not None
             and found.label.key == key
@@ -308,9 +307,10 @@ def _drop_dead_keys(
             for pair in group
             for by_pair in (positive, negative)
         ):
-            if out is labelled:
-                out = dict(labelled)
-            del out[key]
+            continue
+        if out is labelled:
+            out = dict(labelled)
+        del out[key]
     return out
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -370,7 +371,7 @@ def check_derived_indexes(state):
 @settings(max_examples=400)
 def test_derivation_matches_a_rebuild(case, built):
     state, pos, neg, _ = case
-    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0):
+    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0), mock.patch.object(model, "_SHARE_MIN_ENTRIES", 0):
         # the same state and edits over shared versions, so that the commit
         # leaves the origin a diff to be read through
         state = state.replace_authorizations()
@@ -395,12 +396,21 @@ def _rebase(work, base):
     return out
 
 
-@given(programs())
+@given(programs(), st.booleans())
 @settings(max_examples=200)
-def test_lineage_indexes_match_a_rebuild(program):
-    # every post-state derives from a pre-state that derived its own
-    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0):
+def test_lineage_indexes_match_a_rebuild(program, shared):
+    # every post-state derives from a pre-state that derived its own, over
+    # maps that each operation copies or over shared versions
+    with _cuts(shared):
         interpret(program, lambda pre, op, delta, post: check_derived_indexes(post))
+
+
+@contextmanager
+def _cuts(shared: bool):
+    """Every state derives its indexes; with `shared`, every map is shared."""
+    share = 0 if shared else model._SHARE_MIN_ENTRIES
+    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0), mock.patch.object(model, "_SHARE_MIN_ENTRIES", share):
+        yield
 
 
 def check_independence_against_a_rebuild(pre, op, delta, post):
@@ -430,7 +440,7 @@ def test_independence_on_derived_post_states_matches_a_rebuild(program, data):
     start = None
     if data.draw(st.booleans()):
         start = rooted_states(data.draw, NAMES[: program[0]])
-    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 0):
+    with _cuts(data.draw(st.booleans())):
         interpret(program, check_independence_against_a_rebuild, start)
 
 

@@ -7,6 +7,7 @@ import hashlib
 import pickle
 import random
 import weakref
+from contextlib import contextmanager
 
 import pytest
 
@@ -239,10 +240,18 @@ def test_undo_on_a_fresh_lineage_state_builds_no_index(monkeypatch):
     assert states_equal(back, state)
 
 
+def _walk(method):
+    def walk(self, *args):
+        assert self.paused, "walked a whole pair map"
+        return method(self, *args)
+
+    return walk
+
+
 class _RecordingMap(dict):
     """A pair map that records each key read from it and fails any walk
-    through `items`, `keys` or `values`.  Copying it into a dict takes the
-    dict's own fast path and reads nothing through these methods."""
+    (`iter`, `copy`, `items`, `keys`, `values`) unless paused; paused, it
+    records nothing and walks as a dict."""
 
     def __init__(self, source):
         super().__init__(source)
@@ -261,19 +270,48 @@ class _RecordingMap(dict):
         self.paused or self.read.add(key)
         return dict.__contains__(self, key)
 
-    def _walk(self, *args):
-        raise AssertionError("walked a whole pair map")
+    __iter__ = _walk(dict.__iter__)
+    copy = _walk(dict.copy)
+    items = _walk(dict.items)
+    keys = _walk(dict.keys)
+    values = _walk(dict.values)
 
-    items = keys = values = _walk
+
+@contextmanager
+def _paused(maps):
+    for recording in maps:
+        recording.paused = True
+    try:
+        yield
+    finally:
+        for recording in maps:
+            recording.paused = False
+
+
+class _Unrecorded:
+    """A working map whose reads, and what they fall back on in the state's
+    dicts, the recording `maps` do not count; it offers no walk."""
+
+    def __init__(self, working, maps):
+        self.working, self.maps = working, maps
+
+    def get(self, pair, default=None):
+        with _paused(self.maps):
+            return self.working.get(pair, default)
+
+    def __contains__(self, pair):
+        with _paused(self.maps):
+            return pair in self.working
 
 
 def test_undo_reads_only_its_label_candidates(monkeypatch):
     # An undo on a large lineage state reads one by one the pairs the label
-    # index names under its key, and the pairs its repair drops; it never
-    # walks a pair map.  The repair's reachability recheck reads the edges
-    # of the region it rechecks through the working maps, which fall back
-    # on the state's: those reads are not counted here (the recheck's own
-    # tests bound its region), but a walk is caught there too.
+    # index names under its key, and the pairs its repair drops; it walks no
+    # pair map but to copy one below the share cut, as designed.  The
+    # repair's reachability recheck reads the edges of the region it
+    # rechecks through the working maps, which fall back on the state's
+    # dicts: those reads are not counted here (the recheck's own tests bound
+    # its region), and the recheck may not walk a working map either.
     state = _indexed(large_state(seed=4))
     for scheme in (Scheme.WLN, Scheme.WGN, Scheme.SLN, Scheme.SGN):
         i, j = next(
@@ -294,28 +332,39 @@ def test_undo_reads_only_its_label_candidates(monkeypatch):
     contents = state.positive_by_pair.copy(), state.negative_by_pair.copy()
     maps = ()
 
-    def recheck(*args, _real=revocation._recheck):
-        for recording in maps:
-            recording.paused = True
-        try:
-            return _real(*args)
-        finally:
-            for recording in maps:
-                recording.paused = False
+    def working(base, _real=revocation._working):
+        if len(base) >= model._SHARE_MIN_ENTRIES:
+            return _real(base)
+        with _paused(maps):
+            return _real(base)
 
+    def recheck(state, pos, neg, *args, _real=revocation._recheck):
+        return _real(state, _Unrecorded(pos, maps), _Unrecorded(neg, maps), *args)
+
+    monkeypatch.setattr(revocation, "_working", working)
     monkeypatch.setattr(revocation, "_recheck", recheck)
-    for root in roots:
-        key = state.negative_by_pair[root].label.key
-        candidates = set().union(*state.labelled[key])
-        # each undo starts from a fresh version over recording dicts, so the
-        # reads that reroot away the previous undo's edits are not counted
-        maps = _RecordingMap(contents[0]), _RecordingMap(contents[1])
-        state.__dict__.update(positive_by_pair=model.PairMap(maps[0]), negative_by_pair=model.PairMap(maps[1]))
-        back, delta = undo_negative(state, *root)
-        changed = {(entry.grantor, entry.grantee) for part in vars(delta).values() for entry in part}
-        assert maps[0].read | maps[1].read <= candidates | changed, root
-        assert len(candidates) < len(maps[0]) // 4, root
-        assert states_equal(back, expected[root]), root
+    # At the share cut as it is, an undo copies both maps.  With the cut at
+    # the derivation cut, it shares the positive map and copies the negative
+    # one, as on the large benchmark states.
+    assert len(contents[1]) < model._DERIVE_MIN_ENTRIES <= len(contents[0]) < model._SHARE_MIN_ENTRIES
+    for cut in (model._SHARE_MIN_ENTRIES, model._DERIVE_MIN_ENTRIES):
+        monkeypatch.setattr(model, "_SHARE_MIN_ENTRIES", cut)
+        for root in roots:
+            key = state.negative_by_pair[root].label.key
+            candidates = set().union(*state.labelled[key])
+            # each undo starts from a fresh version over recording dicts, so
+            # the reads that reroot away the previous undo's edits are not
+            # counted
+            maps = _RecordingMap(contents[0]), _RecordingMap(contents[1])
+            state.__dict__.update(
+                positive_by_pair=model.PairMap(maps[0]), negative_by_pair=model.PairMap(maps[1])
+            )
+            back, delta = undo_negative(state, *root)
+            changed = {(entry.grantor, entry.grantee) for part in vars(delta).values() for entry in part}
+            assert maps[0].read | maps[1].read <= candidates | changed, (cut, root)
+            assert len(candidates) < len(maps[0]) // 4, (cut, root)
+            with _paused(maps):
+                assert states_equal(back, expected[root]), (cut, root)
 
 
 def large_state(seed=1, n=60):

@@ -41,11 +41,17 @@ from test_revocation import large_state
 TT, TF = PositiveKind.TT, PositiveKind.TF
 
 
-@pytest.fixture(params=["cut", "shared"])
+@pytest.fixture(params=["cut", "shared", "all-shared"])
 def sharing(request, monkeypatch):
-    """At the size cut as it is, both maps of `large_state` but the four
-    blocks are shared; with a cut of one entry, every non-empty map is."""
+    """At the share cut as it is, the maps of `large_state` are dicts of
+    their own, which each operation copies.  With the share cut at the
+    derivation cut, its positive map is shared and its few blocks are
+    copied, as on the large benchmark states.  With both cuts at one entry,
+    every non-empty map is shared and every state derives its indexes."""
     if request.param == "shared":
+        monkeypatch.setattr(model, "_SHARE_MIN_ENTRIES", model._DERIVE_MIN_ENTRIES)
+    elif request.param == "all-shared":
+        monkeypatch.setattr(model, "_SHARE_MIN_ENTRIES", 1)
         monkeypatch.setattr(model, "_DERIVE_MIN_ENTRIES", 1)
     return request.param
 
@@ -122,7 +128,8 @@ def test_a_failing_operation_leaves_every_version_as_it_was(sharing):
     # holds a diff, every operation kind that fails leaves the contents of
     # its input, and of every other version, as they were.
     pre = large_state(seed=5)
-    assert len(pre.positive_by_pair) >= 32 and type(pre.positive_by_pair) is model.PairMap
+    assert len(pre.positive_by_pair) >= 32
+    assert (type(pre.positive_by_pair) is model.PairMap) == (sharing != "cut")
     pre.labelled
     i, j = open_edge(pre)
     spare = next(p for p in sorted(pre.principals) if (i, p) not in pre.positive_by_pair and p != i)
@@ -131,7 +138,8 @@ def test_a_failing_operation_leaves_every_version_as_it_was(sharing):
     versions.append((branch, snapshot(branch)))
     newest, _ = grant(pre, i, spare, TT)
     versions.append((newest, snapshot(newest)))
-    assert pre.positive_by_pair._data is None  # `newest` owns the dict
+    if sharing != "cut":
+        assert pre.positive_by_pair._data is None  # `newest` owns the dict
     for state in (newest, pre):  # the newest, then an older version
         for name, error, call in failing_calls(state):
             before = snapshot(state)
@@ -173,9 +181,10 @@ def test_versions_of_one_pre_state_keep_their_entries(sharing):
         assert is_independent(state, j, i) == is_independent(state.replace_authorizations(), j, i)
 
 
-def test_an_operation_above_the_cut_copies_no_map():
+def test_an_operation_above_the_cut_copies_no_map(monkeypatch):
     # The post-state takes over the pre-state's dict and the pre-state keeps
     # a diff of the touched pairs; below the cut a state keeps a dict of its own.
+    monkeypatch.setattr(model, "_SHARE_MIN_ENTRIES", model._DERIVE_MIN_ENTRIES)
     pre = large_state(seed=7)
     data = pre.positive_by_pair.current()
     work = revocation._working(pre.positive_by_pair)
@@ -207,7 +216,8 @@ def test_reading_the_start_of_a_long_lineage(sharing):
         lineage.append(state)
     want_first, want_last = snapshot(lineage[0]), snapshot(lineage[-1])
     assert lineage[-1].time == lineage[0].time + 5_000
-    assert lineage[0].positive_by_pair._data is None
+    if sharing != "cut":
+        assert lineage[0].positive_by_pair._data is None
     assert snapshot(lineage[0]) == want_first
     assert snapshot(lineage[-1]) == want_last
     assert snapshot(lineage[1_250]) == snapshot(lineage[1_250].replace_authorizations())
@@ -217,7 +227,8 @@ def test_an_older_version_pickles_flat(sharing):
     pre = large_state(seed=9)
     i, j = open_edge(pre)
     post, _ = apply_scheme(pre, RevocationRequest(Scheme.WLD, i, j))
-    assert pre.positive_by_pair._data is None  # `post` owns the dict
+    if sharing != "cut":
+        assert pre.positive_by_pair._data is None  # `post` owns the dict
     want = snapshot(pre)
     for back in (pickle.loads(pickle.dumps(pre)), copy.copy(pre), copy.deepcopy(pre)):
         for by_pair in (back.positive_by_pair, back.negative_by_pair):
@@ -268,7 +279,7 @@ def test_a_label_key_stays_while_a_candidate_carries_it():
 def test_random_branching_lineages_keep_every_version(data):
     # Operations applied to versions drawn at random from everything built so
     # far, every map shared: after each one, every version reads as it was.
-    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 1):
+    with mock.patch.object(model, "_DERIVE_MIN_ENTRIES", 1), mock.patch.object(model, "_SHARE_MIN_ENTRIES", 1):
         versions = [lineage_start(data.draw)]
         versions = [(versions[0], snapshot(versions[0]))]
         for _ in range(data.draw(st.integers(1, 10))):

@@ -22,9 +22,8 @@ constructor: it checks everything it is given, names the offending entry by
 its position (`positive[3]: unknown principal 'Z'`), and keeps the pair maps
 it checks duplicates with.  `parse_state` checks only the document's shape
 and defers to it.  The engine, which derives each state from a valid one,
-uses the private trusted path instead and hands it only the pair maps, plus
-the state's orphan grantors and its label index, both of which it derives
-from the pre-state's.
+uses the private trusted path instead and hands it only the pair maps and
+its origin (below), from which the state derives every index it inherits.
 
 The pair maps of a lineage are shallow-bound (Baker, "Shallow binding makes
 functional arrays fast", 1991; the rerooting of Conchon and Filliâtre's
@@ -46,33 +45,30 @@ state holds plain dicts and unpickles standalone.
 Every other index is built lazily from the maps, once per state: the TT
 successors by grantor, negatives ignored (`chain_children`), the grantees
 by grantor over both maps (`outgoing`), the positive authorizations by
-grantee (`incoming`), and rooted reachability, plain and active, both
-searched over `chain_children` (the active search skips blocked pairs).
-Reachability is kept as a parent map (`{p: the principal whose TT edge
-reaches p in a tree of rooted chains}`, the SOA mapped to None): a BFS
-tree, or one patched from the origin's as below.  Membership reads stay
-cheap, and the engine can tell which principals hang below a given tree
-edge.  `orphans` names the grantors without a plain rooted chain.  A
-document may carry some, and so may an engine state whose negative scheme
-weakened a TT edge; a repair leaves none.  `labelled` maps each label key
-(root grantor, root grantee, sequence) to the pairs that may carry that
-label: a superset, since an engine state inherits its pre-state's without
-dropping pairs an operation relabelled or deleted (a key goes once nothing
-carries its label).
+grantee (`incoming`), rooted reachability, plain and active, both searched
+over `chain_children` (the active search skips blocked pairs), the grantors
+without a plain rooted chain (`orphans`; a repair leaves none), and by label
+key (root grantor, root grantee, sequence) the pairs that may carry that
+label (`labelled`; a superset, as a derived index keeps the pairs an
+operation relabelled or deleted).  Reachability is kept as a parent map
+(`{p: the principal whose TT edge reaches p in a tree of rooted chains}`,
+the SOA mapped to None), so the engine can tell which principals hang below
+a given tree edge.
 
-An engine state of at least `_DERIVE_MIN_ENTRIES` positive entries keeps its
-pre-state (its origin) and the pairs the operation touched.  The first read
-of an index the origin has already built copies the origin's and regroups
-only the endpoints of the touched pairs; the reach maps are patched by
-`_recheck`, the one incremental reachability primitive, which reads the
-origin's entries at the touched pairs through its diff (`PairMap.peek`)
-and names the new parent of each principal it re-admits, so a derived map
-is again a valid parent map.  Without an origin, or when the origin lacks
-the index (or, for a reach map, `chain_children`), the index is built from
-the maps.  A state drops its own origin when an operation takes it as
-pre-state, so no state holds more than its one predecessor, and a pickled
-state carries none.  Smaller states rebuild: there a full pass costs less
-than copying an index.
+An engine state's origin is its pre-state, the pairs the operation touched
+and its delta.  Every index it inherits is derived in one place
+(`AuthorizationState._derive`) from the origin's, if the origin has built
+it: derivation reaches one step back.  A grouped index regroups only the
+endpoints of the touched pairs; a reach map is patched by `_recheck`, the
+one incremental reachability primitive, which reads the origin's entries
+through its diff (`PairMap.peek`) and names the new parent of each
+principal it re-admits.  A state of `_DERIVE_MIN_ENTRIES` positive entries
+or more keeps its origin and derives on first read; a smaller one rebuilds,
+as a full pass costs less there.  The orphans, which every repair reads,
+and the label index, if the pre-state has built it, are derived at hand-off
+at every size, since no later state could reach back for them.  A state
+drops its origin when an operation takes it as pre-state, so no state holds
+more than one predecessor, and a pickled state carries none.
 """
 
 from __future__ import annotations
@@ -114,7 +110,7 @@ class _index(cached_property):
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = None if instance._origin is None else instance._derive(self.name)
+        value = None if instance._origin is None else instance._derive(self.name, instance._origin)
         if value is None:
             value = self.func(instance)
         instance.__dict__[self.name] = value
@@ -527,9 +523,8 @@ class AuthorizationState:
         time: int,
         positive_by_pair: PairMap | _Flat,
         negative_by_pair: PairMap | _Flat,
-        orphans: frozenset[Principal] | None = None,
-        origin: "tuple[AuthorizationState, Collection, Collection] | None" = None,
-        labelled: "Mapping[LabelKey, tuple[Collection, ...]] | None" = None,
+        origin: "tuple[AuthorizationState, Collection, Collection, RevocationDelta] | None" = None,
+        repaired: bool = False,
     ) -> "AuthorizationState":
         """Private trusted path for the engine: a state from parts that are
         already valid.
@@ -538,13 +533,13 @@ class AuthorizationState:
         `__post_init__` checks, and that the maps are versions no other
         state edits.
         `positive` and `negative` are sorted from the maps on first read
-        (see below the class).  `orphans`, when given, must equal what the
-        index of that name would compute; `labelled`, when given, must name
-        at least the pairs it would.  `origin` is the pre-state with
-        the pairs touched in its positive and in its negative map, the only
-        pairs on which these maps differ from its own.  The pre-state drops
-        its own origin, and a state of `_DERIVE_MIN_ENTRIES` or more keeps
-        this one to derive its indexes from.
+        (see below the class).  `origin` is the pre-state, the pairs
+        touched in its positive and in its negative map, the only pairs on
+        which these maps differ from its own, and the `RevocationDelta` of
+        the operation.  The pre-state drops its own origin.  The orphans,
+        known to be none if `repaired`, and the label index, if the
+        pre-state has built one, are derived here; a state of
+        `_DERIVE_MIN_ENTRIES` or more keeps the origin for the others.
         """
         state = object.__new__(cls)
         state.__dict__.update(
@@ -554,19 +549,18 @@ class AuthorizationState:
             positive_by_pair=positive_by_pair,
             negative_by_pair=negative_by_pair,
         )
-        if orphans is not None:
-            state.__dict__["orphans"] = orphans
-        if labelled is not None:
-            state.__dict__["labelled"] = labelled
         if origin is not None:
-            origin[0].__dict__.pop("_origin", None)
+            built = origin[0].__dict__
+            built.pop("_origin", None)
+            state.__dict__["orphans"] = _NOTHING if repaired else state._derive("orphans", origin)
+            if "labelled" in built:
+                state.__dict__["labelled"] = state._derive("labelled", origin)
             if len(positive_by_pair) >= _DERIVE_MIN_ENTRIES:
                 state.__dict__["_origin"] = origin
         return state
 
-    # (pre-state, touched positive pairs, touched negative pairs), handed by
-    # `_trusted` to a state of `_DERIVE_MIN_ENTRIES` or more until it becomes
-    # an origin.
+    # (pre-state, touched positive pairs, touched negative pairs, delta), kept
+    # by a state of `_DERIVE_MIN_ENTRIES` or more until it becomes an origin.
     _origin = None
 
     def __getstate__(self) -> dict:
@@ -623,9 +617,9 @@ class AuthorizationState:
             out.setdefault(grantor, []).append(grantee)
         return {p: tuple(grantees) for p, grantees in out.items()}
 
-    def _derive(self, name: str):
-        """The index `name` derived from the origin's, or None if the origin
-        has not built what that takes.
+    def _derive(self, name: str, origin: tuple):
+        """The index `name` derived from the `origin`'s, or None if the
+        origin has not built what that takes; the orphans always derive.
 
         A grouped index is the origin's with the endpoints of the touched
         pairs regrouped; a reach map is the origin's less the principals
@@ -633,12 +627,73 @@ class AuthorizationState:
         re-admits, and needs the origin's `chain_children` too.  Plain
         indexes look at touched positive pairs only.
         """
-        origin, pos_touched, neg_touched = self._origin
+        origin, pos_touched, neg_touched, delta = origin
         built = origin.__dict__
-        if name not in built:
+        if name not in built and name != "orphans":
             return None
+        positive, negative = self.positive_by_pair, self.negative_by_pair
+        if name == "orphans":
+            # A grantor gains or loses a chain only where a TT entry goes or
+            # comes, and starts or stops granting only where a pair enters or
+            # leaves both maps; one with an active chain before turns orphan
+            # only by losing its chain.
+            orphans, active = origin.orphans, built.get("active_reach", ())
+            cut, moved = False, set()
+            for auth in delta.deleted_positive:
+                if auth.kind is _TT:
+                    now = positive.get((auth.grantor, auth.grantee))
+                    cut |= now is None or now.kind is not _TT
+            for pair in chain(pos_touched, neg_touched):
+                if pair[0] not in active:
+                    was = origin.positive_by_pair.peek(pair) or origin.negative_by_pair.peek(pair)
+                    if (was is None) == (pair in positive or pair in negative):
+                        moved.add(pair[0])
+            if not (cut or moved or orphans):
+                return orphans
+            lost = gained = _NOTHING
+            if cut or any(auth.kind is _TT for auth in delta.issued_positive):
+                lost, gained, _ = _recheck(origin, positive, (), pos_touched, False)
+            if not (lost or gained or moved):
+                return orphans
+            out = set(orphans) - gained
+            for g in lost | moved:
+                out.discard(g)
+                if g not in gained and (g in lost or g not in origin.plain_reach):
+                    grantees = [k for h, k in chain(pos_touched, neg_touched) if h == g]
+                    grantees += origin.outgoing.get(g, ())
+                    if any((g, k) in positive or (g, k) in negative for k in grantees):
+                        out.add(g)
+            return frozenset(out)
+        if name == "labelled":
+            # A key an issued entry carries also names the touched pairs; a
+            # key whose carriers were removed goes once no candidate has it.
+            index, issued, removed, gone = built[name], set(), set(), set()
+            for entry in delta.issued_positive | delta.issued_negative:
+                if entry.label is not None:
+                    issued.add(entry.label.key)
+            # a label the origin carried has its key in the origin's index
+            for entry in (delta.deleted_positive | delta.deleted_negative) if index else ():
+                if entry.label is not None:
+                    removed.add(entry.label.key)
+                    gone.add((entry.grantor, entry.grantee))
+            if not issued and not removed:
+                return index
+            index = dict(index)
+            # a removed carrier's pair carries the key only if issued again
+            for key in removed - issued:
+                if not any(
+                    (entry := by_pair.get(pair)) is not None
+                    and entry.label is not None
+                    and entry.label.key == key
+                    for pair in set(chain.from_iterable(index[key])) - gone
+                    for by_pair in (positive, negative)
+                ):
+                    del index[key]
+            for key in issued:
+                index[key] = index.get(key, ()) + (pos_touched, neg_touched)
+            return index
         # Nothing below reroots (see `PairMap`): these stay this state's.
-        positive, negative = self.positive_by_pair.current(), self.negative_by_pair.current()
+        positive, negative = positive.current(), negative.current()
         plain = name in _PLAIN
         touched = pos_touched if plain else chain(pos_touched, neg_touched)
         if name.endswith("_reach"):
@@ -668,13 +723,13 @@ class AuthorizationState:
 
         return _regroup(built[name], touched, 0, current)
 
-    @cached_property
+    @_index
     def orphans(self) -> frozenset[Principal]:
         """Grantors of some authorization that have no plain rooted chain."""
         reach = self.plain_reach
         return frozenset(p for p in self.outgoing if p not in reach)
 
-    @cached_property
+    @_index
     def labelled(self) -> Mapping[LabelKey, tuple[Collection, ...]]:
         """The pairs that may carry each label, by label key, as a tuple of
         pair collections that may overlap.  Every pair carrying a label is

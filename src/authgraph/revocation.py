@@ -53,32 +53,26 @@ Design notes that the code below relies on:
   the pre-state's parent map and the pairs the working copies touched:
   only the tree subtrees under cut edges are rechecked, so no adjacency is
   rebuilt from a working map and the cost follows the region an operation
-  affects.  Every post-state is handed its orphan set, derived from the
-  pre-state's, so a later repair in its lineage needs no pass of its own.
-  It is also handed the pre-state and the touched pairs, from which it
-  derives its other indexes when first read, with the same primitive for
-  its reach maps (see `model`); the operation itself builds none of them.
+  affects.  Every post-state is handed its origin, from which it derives
+  every index it inherits (see `model`), and the one fact only the
+  operation knows: that a repair ran, which leaves no orphans.
 * Negative-scheme additions carry a label identifying the operation.  A
   reissue that has to displace existing unlabelled content on its pair (a kind
   upgrade, or clearing a standing FF so the conveyed right stays live) records
   the displaced facts inside the label; undo restores them instead of simply
   deleting the slot.
-* Undo reads only the pairs its label may be on: the post-state's label
-  index (`labelled`).  A negative scheme hands its post-state the pre-state's
-  index plus its own key, mapped to the pairs it touched (beside any pairs
-  already under that key: a document label may carry the same key); an undo
-  hands it on less its key; every other operation hands the pre-state's on
-  as it is, or none if the pre-state has none.  So a pair that an operation
-  relabels or deletes stays a candidate, which undo checks and skips.  A
-  key goes once an operation removes an entry carrying it and none of its
-  candidates carries it any more.
+* Undo reads only the pairs its label may be on: its state's label index
+  (`labelled`), which every post-state derives by one rule (`model`): a key
+  an issued entry carries also names the touched pairs, and a key whose
+  carriers were removed goes once no candidate carries it.  So a pair an
+  operation relabels or deletes stays a candidate, which undo skips.  A
+  negative scheme builds its pre-state's index, so its post-state has one.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, MutableMapping
+from typing import Iterable, Iterator, MutableMapping
 
 from .errors import (
     DowngradeError,
@@ -109,7 +103,6 @@ from .model import (
     _Flat,
     _NOTHING,
     _recheck,
-    _TT,
 )
 from . import model
 from .semantics import _dependents, _require_principals
@@ -202,6 +195,13 @@ def _working(base: PairMap | _Flat) -> _Working | _Flat:
     return _Working(PairMap(data.copy()) if flat else base)
 
 
+def _made(cls, **fields):
+    """`cls` from checked parts, every field named, skipping its constructor."""
+    entry = object.__new__(cls)
+    entry.__dict__.update(fields)
+    return entry
+
+
 def _repair(
     state: AuthorizationState, pos: PosMap, neg: NegMap, touched: Iterable[Pair]
 ) -> set[Principal]:
@@ -245,21 +245,14 @@ def _finish(
     pos: _Working | _Flat | None,
     neg: _Working | _Flat | None,
     repaired: bool = False,
-    labelled: Mapping | None = None,
 ) -> tuple[AuthorizationState, RevocationDelta]:
     """The post-state and the delta, both from the pairs the operation touched.
 
     Each working map is committed: an overlay's edits go into the shared
     dict as the post-state's version of the map, the pre-state keeps the old
     entries (`PairMap._commit`), and the same loop yields the entries
-    deleted and issued; a copy becomes the post-state's map.  Every
-    post-state is handed its orphans, so no later repair in its lineage
-    has to find them with a pass of its own: none after a repair, else those
-    `_orphans_after` derives from the pre-state's.  It is handed `labelled`
-    as its label index, or else the pre-state's, if built, less the keys
-    whose last carrier this operation removed.  It is also handed the
-    pre-state and the touched pairs, to derive its other indexes from the
-    pre-state's when first read; nothing is derived here.
+    deleted and issued; a copy becomes the post-state's map.  The post-state
+    derives its indexes from its origin (see `model`).
     """
     # No working map: the operation writes none of that map's entries, and
     # the post-state shares the pre-state's.
@@ -273,73 +266,18 @@ def _finish(
         neg_touched = {}
     else:
         (negative, deleted_neg, issued_neg), neg_touched = neg.commit(), neg.touched
-    orphans = (
-        _NOTHING
-        if repaired
-        else _orphans_after(pre, positive, pos_touched, deleted_pos, issued_pos)
+    delta = _made(  # disjoint by construction: each entry removed and added differs
+        RevocationDelta,
+        deleted_positive=deleted_pos,
+        deleted_negative=deleted_neg,
+        issued_positive=issued_pos,
+        issued_negative=issued_neg,
     )
-    if labelled is None:
-        labelled = pre.__dict__.get("labelled")
-    if labelled and (deleted_pos or deleted_neg):
-        labelled = _drop_dead_keys(labelled, positive, negative, chain(deleted_pos, deleted_neg))
-    origin = (pre, pos_touched, neg_touched)
+    origin = (pre, pos_touched, neg_touched, delta)
     post = AuthorizationState._trusted(
-        pre.soa, pre.principals, pre.time + 1, positive, negative, orphans, origin, labelled
+        pre.soa, pre.principals, pre.time + 1, positive, negative, origin, repaired
     )
-    return post, RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
-
-
-def _drop_dead_keys(
-    labelled: Mapping, positive: PairMap, negative: PairMap, removed: Iterable
-) -> Mapping:
-    """`labelled` less the keys of the `removed` entries that none of the
-    key's candidates carries in the new maps; a copy if any key goes."""
-    out, seen = labelled, set()
-    for entry in removed:
-        if entry.label is None or (key := entry.label.key) in seen:
-            continue
-        seen.add(key)
-        if key not in out or any(
-            (found := by_pair.get(pair)) is not None
-            and found.label is not None
-            and found.label.key == key
-            for group in out[key]
-            for pair in group
-            for by_pair in (positive, negative)
-        ):
-            continue
-        if out is labelled:
-            out = dict(labelled)
-        del out[key]
-    return out
-
-
-def _orphans_after(
-    pre: AuthorizationState,
-    positive: PairMap | _Flat,
-    touched: Iterable[Pair],
-    deleted: frozenset[PositiveAuth],
-    issued: frozenset[PositiveAuth],
-) -> frozenset[Principal]:
-    """The orphans after an operation that repaired nothing.
-
-    Such an operation removes no pair from the maps, so only its TT entries
-    can change the orphans: a removed or weakened one may cut a chain, a new
-    one may root an orphan.  Only then are the chains rechecked.  A grantor
-    new to the maps never loses its chain: grants and plain negatives cut
-    nothing, and a scheme's new pairs start at the revoker, a grantor already.
-    """
-    orphans = pre.orphans
-    cut = False
-    for auth in deleted:
-        if auth.kind is _TT:
-            now = positive.get((auth.grantor, auth.grantee))
-            cut |= now is None or now.kind is not _TT
-    if not cut and not (orphans and any(auth.kind is _TT for auth in issued)):
-        return orphans
-    lost, gained, _ = _recheck(pre, positive, (), touched, False)
-    grantors = pre.outgoing
-    return frozenset(orphans - gained | {p for p in lost if p in grantors})
+    return post, delta
 
 
 # Elementary operations.
@@ -368,7 +306,8 @@ def grant(
         raise DowngradeError(
             f"{grantor!r} -> {grantee!r} already delegates; downgrade to access-only refused"
         )
-    pos[(grantor, grantee)] = PositiveAuth(grantor, grantee, kind)
+    auth = _made(PositiveAuth, grantor=grantor, grantee=grantee, kind=kind, label=None)
+    pos[(grantor, grantee)] = auth
     return _finish(state, pos, None)
 
 
@@ -386,7 +325,7 @@ def issue_negative(
         raise DuplicateNegativeError(
             f"negative authorization {grantor!r} -> {grantee!r} already present"
         )
-    neg[(grantor, grantee)] = NegativeAuth(grantor, grantee)
+    neg[(grantor, grantee)] = _made(NegativeAuth, grantor=grantor, grantee=grantee, label=None)
     return _finish(state, None, neg)
 
 
@@ -414,7 +353,14 @@ def apply_scheme(
             raise DuplicateNegativeError(
                 f"negative authorization {i!r} -> {j!r} already present"
             )
-        label = RevocationLabel(i, j, sequence=state.time)
+        label = _made(
+            RevocationLabel,
+            root_grantor=i,
+            root_grantee=j,
+            sequence=state.time,
+            restores_kind=None,
+            restores_blocked=False,
+        )
 
     _kill(pos, neg, (i, j), label)
     if scheme.is_local:
@@ -427,10 +373,8 @@ def apply_scheme(
         _repair(state, pos, neg, pos.touched | neg.touched)
     if label is None:
         return _finish(state, pos, neg, repaired=True)
-    # The touched maps are never written again once the operation is done.
-    key, labelled = label.key, dict(state.labelled)
-    labelled[key] = labelled.get(key, ()) + (pos.touched, neg.touched)
-    return _finish(state, pos, neg, labelled=labelled)
+    state.labelled  # built here, it derives into the post-state, which undo reads
+    return _finish(state, pos, neg)
 
 
 def _kill(pos: PosMap, neg: NegMap, pair: Pair, label: RevocationLabel | None) -> bool:
@@ -441,7 +385,7 @@ def _kill(pos: PosMap, neg: NegMap, pair: Pair, label: RevocationLabel | None) -
     elif pair in neg:
         return False
     else:
-        neg[pair] = NegativeAuth(pair[0], pair[1], label)
+        neg[pair] = _made(NegativeAuth, grantor=pair[0], grantee=pair[1], label=label)
     return True
 
 
@@ -551,7 +495,7 @@ def _merge_reissue(
             return
         if label is not None:
             label = replace(label, restores_kind=existing.kind)
-    pos[pair] = PositiveAuth(i, k, kind, label)
+    pos[pair] = _made(PositiveAuth, grantor=i, grantee=k, kind=kind, label=label)
 
 
 def _strong_global(
@@ -619,8 +563,7 @@ def undo_negative(
             f"no labelled negative revocation rooted at {grantor!r} -> {grantee!r}"
         )
     key = root.label.key
-    labelled = dict(state.labelled)
-    candidates = set().union(*labelled.pop(key))
+    candidates = set().union(*state.labelled[key])
     pos = _working(state.positive_by_pair)
     neg = _working(state.negative_by_pair)
     before_pos, before_neg = pos.before, neg.before
@@ -641,8 +584,9 @@ def undo_negative(
     for pair in restored:
         if pair not in neg:
             neg[pair] = NegativeAuth(*pair)
-    _repair(state, pos, neg, pos.touched | neg.touched)
-    return _finish(state, pos, neg, repaired=True, labelled=labelled)
+    if pos.touched or state.orphans:  # lifting blocks alone cuts no chain
+        _repair(state, pos, neg, pos.touched | neg.touched)
+    return _finish(state, pos, neg, repaired=True)
 
 
 # Timelines.

@@ -133,6 +133,37 @@ class TestCompareEngines:
             config = EngineConfig(sgd_descendant_dominance=bool(index % 2))
             assert check_equivalence(state, request, config)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_negative_schemes_give_their_delete_counterparts_rights(self, flag):
+        """Each negative scheme on the engine leaves every principal the
+        access and delegation rights the reference gives after its delete
+        counterpart (WLN-WLD, WGN-WGD, SLN-SLD, SGN-SGD).
+
+        This is an observation about the engine, not a rule from the paper:
+        Hagström et al., "Revocations -- A Classification" (CSFW 2001), treat
+        resilience as an axis of its own, and nothing there says that
+        blocking a grant and deleting it must leave the same rights.  It
+        checks the rights of the negative schemes against the only
+        reference there is, until they have one of their own.
+        """
+        config = EngineConfig(sgd_descendant_dominance=flag)
+        applied = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            state = generators.random_state(rng)
+            edge = generators.random_edge(rng, state)
+            if edge is None or edge.pair in state.negative_by_pair:
+                continue
+            for negative, delete in zip((Scheme.WLN, Scheme.WGN, Scheme.SLN, Scheme.SGN), DELETES):
+                blocked, _ = apply_scheme(state, RevocationRequest(negative, *edge.pair), config)
+                deleted = fixpoint_apply_delete(state, RevocationRequest(delete, *edge.pair), config)
+                assert generators.rights_profile(blocked) == generators.rights_profile(deleted), (
+                    seed,
+                    negative,
+                )
+                applied += 1
+        assert applied > 600
+
     def test_shared_rejection_counts_as_agreement(self, empty_six):
         assert compare_engines(empty_six, RevocationRequest(Scheme.SLD, "A", "B")) is None
 

@@ -19,6 +19,7 @@ from authgraph import (
     NegativeOp,
     PositiveAuth,
     PositiveKind,
+    RevocationDelta,
     RevocationLabel,
     RevocationRequest,
     RevokeOp,
@@ -344,8 +345,16 @@ DERIVED = ("chain_children", "plain_reach", "active_reach", "incoming", "outgoin
 
 def check_derived_indexes(state):
     """Each index of `state` holds what a rebuild of it holds; a reach map
-    may pick other parents, but each is a live TT edge on a chain to the SOA."""
+    may pick other parents, but each is a live TT edge on a chain to the SOA.
+    The orphans equal a rebuild's; the label index has a rebuild's keys and
+    names every pair that carries a label under its key."""
     rebuilt = state.replace_authorizations()
+    assert state.orphans == rebuilt.orphans
+    assert state.labelled.keys() == rebuilt.labelled.keys()
+    for by_pair in (state.positive_by_pair, state.negative_by_pair):
+        for pair, entry in by_pair.items():
+            if entry.label is not None:
+                assert any(pair in group for group in state.labelled[entry.label.key]), pair
     for name in DERIVED:
         got, want = getattr(state, name), getattr(rebuilt, name)
         assert got.keys() == want.keys(), name
@@ -367,7 +376,7 @@ def check_derived_indexes(state):
             }, name
 
 
-@given(edited_states(), st.sets(st.sampled_from(DERIVED)))
+@given(edited_states(), st.sets(st.sampled_from(DERIVED + ("orphans", "labelled"))))
 @settings(max_examples=400)
 def test_derivation_matches_a_rebuild(case, built):
     state, pos, neg, _ = case
@@ -378,10 +387,11 @@ def test_derivation_matches_a_rebuild(case, built):
         pos, neg = _rebase(pos, state.positive_by_pair), _rebase(neg, state.negative_by_pair)
         for name in built:  # the origin may have built any of its indexes, or none
             getattr(state, name)
-        before = {name: copy.deepcopy(state.__dict__[name]) for name in DERIVED if name in state.__dict__}
-        (positive, *_), (negative, *_) = pos.commit(), neg.commit()
+        before = {name: copy.deepcopy(index) for name, index in state.__dict__.items() if name in built}
+        (positive, deleted_pos, issued_pos), (negative, deleted_neg, issued_neg) = pos.commit(), neg.commit()
+        delta = RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
         derived = AuthorizationState._trusted(
-            state.soa, state.principals, state.time + 1, positive, negative, None, (state, pos.touched, neg.touched)
+            state.soa, state.principals, state.time + 1, positive, negative, (state, pos.touched, neg.touched, delta)
         )
     assert derived.__dict__["_origin"][0] is state
     check_derived_indexes(derived)

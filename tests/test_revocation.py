@@ -222,21 +222,29 @@ def test_operations_on_an_indexed_state_build_no_adjacency(revocation_base, monk
     assert len(negated) > 0 and calls == []
 
 
-def test_undo_on_a_fresh_lineage_state_builds_no_index(monkeypatch):
-    # A lineage hands every state its orphans, so neither WGN nor an undo
-    # whose edits cut and restore no TT edge reads an index of its fresh
-    # pre-state.
-    state = new_state("A", "ABCD")
-    for grantor, grantee in (("A", "B"), ("B", "C"), ("C", "D")):
+@pytest.mark.parametrize("size", [4, 40])
+def test_undo_on_a_fresh_lineage_state_builds_no_index(size, monkeypatch):
+    # A lineage hands every state its orphans and its label index, so
+    # neither WGN nor an undo whose edits cut and restore no TT edge builds
+    # an index: no reach or adjacency pass and no label scan, below the
+    # derivation cut and above it, where each post-state keeps its origin.
+    names = [f"p{k:02d}" for k in range(size)]
+    state = new_state(names[0], names)
+    for grantor, grantee in zip(names, names[1:]):
         state, _ = grant(state, grantor, grantee, TT)
+    assert (len(state.positive_by_pair) >= model._DERIVE_MIN_ENTRIES) == (size > 4)
     calls = []
     for name in ("_bfs", "_tt_adjacency"):
         real = getattr(model, name)
         counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
         monkeypatch.setattr(model, name, counted)
-    negated, _ = apply_scheme(state, RevocationRequest(Scheme.WGN, "B", "C"))
-    back, _ = undo_negative(negated, "B", "C")
+    scan = AuthorizationState.labelled
+    monkeypatch.setattr(scan, "func", lambda state, _real=scan.func: calls.append("labelled") or _real(state))
+    i, j = names[1], names[2]
+    negated, _ = apply_scheme(state, RevocationRequest(Scheme.WGN, i, j))
+    back, _ = undo_negative(negated, i, j)
     assert calls == []
+    assert ("_origin" in back.__dict__) == (size > 4)
     assert states_equal(back, state)
 
 

@@ -539,7 +539,11 @@ class AuthorizationState:
         the operation.  The pre-state drops its own origin.  The orphans,
         known to be none if `repaired`, and the label index, if the
         pre-state has built one, are derived here; a state of
-        `_DERIVE_MIN_ENTRIES` or more keeps the origin for the others.
+        `_DERIVE_MIN_ENTRIES` or more keeps the origin for the others.  An
+        operation that repaired nothing must make or unmake no grantor
+        without a plain rooted chain, as none of the engine's does: grants
+        and plain negatives cut nothing, and a scheme's new pairs start at
+        the revoker, a grantor already.
         """
         state = object.__new__(cls)
         state.__dict__.update(
@@ -629,65 +633,45 @@ class AuthorizationState:
         """
         origin, pos_touched, neg_touched, delta = origin
         built = origin.__dict__
-        if name not in built and name != "orphans":
-            return None
         positive, negative = self.positive_by_pair, self.negative_by_pair
         if name == "orphans":
-            # A grantor gains or loses a chain only where a TT entry goes or
-            # comes, and starts or stops granting only where a pair enters or
-            # leaves both maps; one with an active chain before turns orphan
-            # only by losing its chain.
-            orphans, active = origin.orphans, built.get("active_reach", ())
-            cut, moved = False, set()
+            # Only TT entries change the orphans when the operation repaired
+            # nothing (see `_trusted`): a removed or weakened one may cut a
+            # chain, a new one may root an orphan.  Only then are the chains
+            # rechecked.
+            orphans, cut = origin.orphans, False
             for auth in delta.deleted_positive:
                 if auth.kind is _TT:
                     now = positive.get((auth.grantor, auth.grantee))
                     cut |= now is None or now.kind is not _TT
-            for pair in chain(pos_touched, neg_touched):
-                if pair[0] not in active:
-                    was = origin.positive_by_pair.peek(pair) or origin.negative_by_pair.peek(pair)
-                    if (was is None) == (pair in positive or pair in negative):
-                        moved.add(pair[0])
-            if not (cut or moved or orphans):
+            if not cut and not (orphans and any(auth.kind is _TT for auth in delta.issued_positive)):
                 return orphans
-            lost = gained = _NOTHING
-            if cut or any(auth.kind is _TT for auth in delta.issued_positive):
-                lost, gained, _ = _recheck(origin, positive, (), pos_touched, False)
-            if not (lost or gained or moved):
-                return orphans
-            out = set(orphans) - gained
-            for g in lost | moved:
-                out.discard(g)
-                if g not in gained and (g in lost or g not in origin.plain_reach):
-                    grantees = [k for h, k in chain(pos_touched, neg_touched) if h == g]
-                    grantees += origin.outgoing.get(g, ())
-                    if any((g, k) in positive or (g, k) in negative for k in grantees):
-                        out.add(g)
-            return frozenset(out)
+            lost, gained, _ = _recheck(origin, positive, (), pos_touched, False)
+            grantors = origin.outgoing
+            return frozenset(orphans - gained | {p for p in lost if p in grantors})
+        if name not in built:
+            return None
         if name == "labelled":
             # A key an issued entry carries also names the touched pairs; a
-            # key whose carriers were removed goes once no candidate has it.
-            index, issued, removed, gone = built[name], set(), set(), set()
-            for entry in delta.issued_positive | delta.issued_negative:
-                if entry.label is not None:
-                    issued.add(entry.label.key)
-            # a label the origin carried has its key in the origin's index
-            for entry in (delta.deleted_positive | delta.deleted_negative) if index else ():
-                if entry.label is not None:
-                    removed.add(entry.label.key)
-                    gone.add((entry.grantor, entry.grantee))
+            # key a removed entry carried goes once no candidate carries it.
+            index, issued, removed = built[name], set(), set()
+            for entries in (delta.issued_positive, delta.issued_negative):
+                for entry in entries:
+                    if entry.label is not None:
+                        issued.add(entry.label.key)
+            if index:  # a label the origin carried has its key in its index
+                for entries in (delta.deleted_positive, delta.deleted_negative):
+                    for entry in entries:
+                        if entry.label is not None and entry.label.key not in issued:
+                            removed.add(entry.label.key)
             if not issued and not removed:
                 return index
             index = dict(index)
-            # a removed carrier's pair carries the key only if issued again
-            for key in removed - issued:
-                if not any(
-                    (entry := by_pair.get(pair)) is not None
-                    and entry.label is not None
-                    and entry.label.key == key
-                    for pair in set(chain.from_iterable(index[key])) - gone
-                    for by_pair in (positive, negative)
-                ):
+            for key in removed:
+                for pairs in index[key]:
+                    if _carries(positive, pairs, key) or _carries(negative, pairs, key):
+                        break
+                else:
                     del index[key]
             for key in issued:
                 index[key] = index.get(key, ()) + (pos_touched, neg_touched)
@@ -769,6 +753,15 @@ AuthorizationState.positive = cached_property(
 AuthorizationState.negative = cached_property(
     lambda state: _sorted_entries(state.negative_by_pair._flat()), "negative"
 )
+
+
+def _carries(by_pair: Mapping, pairs: Iterable, key: LabelKey) -> bool:
+    """Whether an entry of `by_pair` at one of `pairs` carries a label under `key`."""
+    for pair in pairs:
+        entry = by_pair.get(pair)
+        if entry is not None and entry.label is not None and entry.label.key == key:
+            return True
+    return False
 
 
 def _tt_adjacency(

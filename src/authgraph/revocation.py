@@ -195,13 +195,6 @@ def _working(base: PairMap | _Flat) -> _Working | _Flat:
     return _Working(PairMap(data.copy()) if flat else base)
 
 
-def _made(cls, **fields):
-    """`cls` from checked parts, every field named, skipping its constructor."""
-    entry = object.__new__(cls)
-    entry.__dict__.update(fields)
-    return entry
-
-
 def _repair(
     state: AuthorizationState, pos: PosMap, neg: NegMap, touched: Iterable[Pair]
 ) -> set[Principal]:
@@ -266,13 +259,7 @@ def _finish(
         neg_touched = {}
     else:
         (negative, deleted_neg, issued_neg), neg_touched = neg.commit(), neg.touched
-    delta = _made(  # disjoint by construction: each entry removed and added differs
-        RevocationDelta,
-        deleted_positive=deleted_pos,
-        deleted_negative=deleted_neg,
-        issued_positive=issued_pos,
-        issued_negative=issued_neg,
-    )
+    delta = RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
     origin = (pre, pos_touched, neg_touched, delta)
     post = AuthorizationState._trusted(
         pre.soa, pre.principals, pre.time + 1, positive, negative, origin, repaired
@@ -306,8 +293,7 @@ def grant(
         raise DowngradeError(
             f"{grantor!r} -> {grantee!r} already delegates; downgrade to access-only refused"
         )
-    auth = _made(PositiveAuth, grantor=grantor, grantee=grantee, kind=kind, label=None)
-    pos[(grantor, grantee)] = auth
+    pos[(grantor, grantee)] = PositiveAuth(grantor, grantee, kind)
     return _finish(state, pos, None)
 
 
@@ -325,7 +311,7 @@ def issue_negative(
         raise DuplicateNegativeError(
             f"negative authorization {grantor!r} -> {grantee!r} already present"
         )
-    neg[(grantor, grantee)] = _made(NegativeAuth, grantor=grantor, grantee=grantee, label=None)
+    neg[(grantor, grantee)] = NegativeAuth(grantor, grantee)
     return _finish(state, None, neg)
 
 
@@ -353,14 +339,7 @@ def apply_scheme(
             raise DuplicateNegativeError(
                 f"negative authorization {i!r} -> {j!r} already present"
             )
-        label = _made(
-            RevocationLabel,
-            root_grantor=i,
-            root_grantee=j,
-            sequence=state.time,
-            restores_kind=None,
-            restores_blocked=False,
-        )
+        label = RevocationLabel(i, j, sequence=state.time)
 
     _kill(pos, neg, (i, j), label)
     if scheme.is_local:
@@ -385,7 +364,7 @@ def _kill(pos: PosMap, neg: NegMap, pair: Pair, label: RevocationLabel | None) -
     elif pair in neg:
         return False
     else:
-        neg[pair] = _made(NegativeAuth, grantor=pair[0], grantee=pair[1], label=label)
+        neg[pair] = NegativeAuth(pair[0], pair[1], label)
     return True
 
 
@@ -495,7 +474,7 @@ def _merge_reissue(
             return
         if label is not None:
             label = replace(label, restores_kind=existing.kind)
-    pos[pair] = _made(PositiveAuth, grantor=i, grantee=k, kind=kind, label=label)
+    pos[pair] = PositiveAuth(i, k, kind, label)
 
 
 def _strong_global(

@@ -117,17 +117,20 @@ def _write_output(text: str, dest: str | None) -> None:
         sys.stdout.write(text)
         return
     path = Path(dest)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ParseError(f"cannot write {dest}: {exc.strerror or exc}") from exc
 
 
 def _describe(op: Operation) -> str:

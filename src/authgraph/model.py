@@ -48,12 +48,13 @@ by grantor over both maps (`outgoing`), the positive authorizations by
 grantee (`incoming`), rooted reachability, plain and active, both searched
 over `chain_children` (the active search skips blocked pairs), the grantors
 without a plain rooted chain (`orphans`; a repair leaves none), and by label
-key (root grantor, root grantee, sequence) the pairs that may carry that
-label (`labelled`; a superset, as a derived index keeps the pairs an
-operation relabelled or deleted).  Reachability is kept as a parent map
-(`{p: the principal whose TT edge reaches p in a tree of rooted chains}`,
-the SOA mapped to None), so the engine can tell which principals hang below
-a given tree edge.
+key (root grantor, root grantee, sequence) the pairs found carrying that
+label (`labelled`).  A label the engine issues names its own pairs, those
+its operation touched (`RevocationLabel.candidates`), so the label index
+only has to name the labels a state was built with, such as a document's.
+Reachability is kept as a parent map (`{p: the principal whose TT edge
+reaches p in a tree of rooted chains}`, the SOA mapped to None), so the
+engine can tell which principals hang below a given tree edge.
 
 An engine state's origin is its pre-state, the pairs the operation touched
 and its delta.  Every index it inherits is derived in one place
@@ -65,8 +66,9 @@ through its diff (`PairMap.peek`) and names the new parent of each
 principal it re-admits.  A state of `_DERIVE_MIN_ENTRIES` positive entries
 or more keeps its origin and derives on first read; a smaller one rebuilds,
 as a full pass costs less there.  The orphans, which every repair reads,
-and the label index, if the pre-state has built it, are derived at hand-off
-at every size, since no later state could reach back for them.  A state
+are derived at hand-off at every size, since no later state could reach
+back for them; the label index, if the pre-state has built it, is handed on
+as it is, since no operation adds a label it would have to name.  A state
 drops its origin when an operation takes it as pre-state, so no state holds
 more than one predecessor, and a pickled state carries none.
 """
@@ -191,6 +193,12 @@ class RevocationLabel:
     carrying its label.  When a reissue displaced existing unlabelled content
     on its pair (upgraded a TF edge, or cleared a standing FF), the displaced
     facts ride along so undo can restore them instead of deleting the slot.
+
+    A label the engine issues also carries `candidates`, the pairs its
+    operation touched in the positive and in the negative map: every pair an
+    entry carrying the label can sit on, kept exactly as long as one does.
+    Equality, hashing and documents ignore them; a label from a document has
+    none, and its state's label index names its pairs instead.
     """
 
     root_grantor: Principal
@@ -198,6 +206,7 @@ class RevocationLabel:
     sequence: int
     restores_kind: PositiveKind | None = None
     restores_blocked: bool = False
+    candidates: tuple[Collection, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.root_grantor or not self.root_grantee:
@@ -537,8 +546,9 @@ class AuthorizationState:
         touched in its positive and in its negative map, the only pairs on
         which these maps differ from its own, and the `RevocationDelta` of
         the operation.  The pre-state drops its own origin.  The orphans,
-        known to be none if `repaired`, and the label index, if the
-        pre-state has built one, are derived here; a state of
+        known to be none if `repaired`, are derived here, and the label
+        index, if the pre-state has built one, is handed on by reference:
+        the labels the operation issues name their own pairs; a state of
         `_DERIVE_MIN_ENTRIES` or more keeps the origin for the others.  An
         operation that repaired nothing must make or unmake no grantor
         without a plain rooted chain, as none of the engine's does: grants
@@ -558,7 +568,7 @@ class AuthorizationState:
             built.pop("_origin", None)
             state.__dict__["orphans"] = _NOTHING if repaired else state._derive("orphans", origin)
             if "labelled" in built:
-                state.__dict__["labelled"] = state._derive("labelled", origin)
+                state.__dict__["labelled"] = built["labelled"]
             if len(positive_by_pair) >= _DERIVE_MIN_ENTRIES:
                 state.__dict__["_origin"] = origin
         return state
@@ -633,13 +643,12 @@ class AuthorizationState:
         """
         origin, pos_touched, neg_touched, delta = origin
         built = origin.__dict__
-        positive, negative = self.positive_by_pair, self.negative_by_pair
         if name == "orphans":
             # Only TT entries change the orphans when the operation repaired
             # nothing (see `_trusted`): a removed or weakened one may cut a
             # chain, a new one may root an orphan.  Only then are the chains
             # rechecked.
-            orphans, cut = origin.orphans, False
+            orphans, cut, positive = origin.orphans, False, self.positive_by_pair
             for auth in delta.deleted_positive:
                 if auth.kind is _TT:
                     now = positive.get((auth.grantor, auth.grantee))
@@ -651,33 +660,8 @@ class AuthorizationState:
             return frozenset(orphans - gained | {p for p in lost if p in grantors})
         if name not in built:
             return None
-        if name == "labelled":
-            # A key an issued entry carries also names the touched pairs; a
-            # key a removed entry carried goes once no candidate carries it.
-            index, issued, removed = built[name], set(), set()
-            for entries in (delta.issued_positive, delta.issued_negative):
-                for entry in entries:
-                    if entry.label is not None:
-                        issued.add(entry.label.key)
-            if index:  # a label the origin carried has its key in its index
-                for entries in (delta.deleted_positive, delta.deleted_negative):
-                    for entry in entries:
-                        if entry.label is not None and entry.label.key not in issued:
-                            removed.add(entry.label.key)
-            if not issued and not removed:
-                return index
-            index = dict(index)
-            for key in removed:
-                for pairs in index[key]:
-                    if _carries(positive, pairs, key) or _carries(negative, pairs, key):
-                        break
-                else:
-                    del index[key]
-            for key in issued:
-                index[key] = index.get(key, ()) + (pos_touched, neg_touched)
-            return index
         # Nothing below reroots (see `PairMap`): these stay this state's.
-        positive, negative = positive.current(), negative.current()
+        positive, negative = self.positive_by_pair.current(), self.negative_by_pair.current()
         plain = name in _PLAIN
         touched = pos_touched if plain else chain(pos_touched, neg_touched)
         if name.endswith("_reach"):
@@ -713,12 +697,14 @@ class AuthorizationState:
         reach = self.plain_reach
         return frozenset(p for p in self.outgoing if p not in reach)
 
-    @_index
+    @cached_property
     def labelled(self) -> Mapping[LabelKey, tuple[Collection, ...]]:
-        """The pairs that may carry each label, by label key, as a tuple of
-        pair collections that may overlap.  Every pair carrying a label is
-        named under its key; other pairs may be too (see the module
-        docstring)."""
+        """By label key, the pairs of this state's maps found carrying a
+        label under it, as a tuple of pair collections, from one scan.  A
+        post-state is handed its pre-state's index as it is, so along a
+        lineage the index names the labels of the state that built it, a
+        document's, and may name pairs that carry them no more; the labels
+        the engine issues name their own (`RevocationLabel.candidates`)."""
         out: dict[LabelKey, list[tuple[Principal, Principal]]] = {}
         for by_pair in (self.positive_by_pair, self.negative_by_pair):
             for pair, entry in by_pair._flat().items():
@@ -753,15 +739,6 @@ AuthorizationState.positive = cached_property(
 AuthorizationState.negative = cached_property(
     lambda state: _sorted_entries(state.negative_by_pair._flat()), "negative"
 )
-
-
-def _carries(by_pair: Mapping, pairs: Iterable, key: LabelKey) -> bool:
-    """Whether an entry of `by_pair` at one of `pairs` carries a label under `key`."""
-    for pair in pairs:
-        entry = by_pair.get(pair)
-        if entry is not None and entry.label is not None and entry.label.key == key:
-            return True
-    return False
 
 
 def _tt_adjacency(

@@ -61,12 +61,13 @@ Design notes that the code below relies on:
   upgrade, or clearing a standing FF so the conveyed right stays live) records
   the displaced facts inside the label; undo restores them instead of simply
   deleting the slot.
-* Undo reads only the pairs its label may be on: its state's label index
-  (`labelled`), which every post-state derives by one rule (`model`): a key
-  an issued entry carries also names the touched pairs, and a key whose
-  carriers were removed goes once no candidate carries it.  So a pair an
-  operation relabels or deletes stays a candidate, which undo skips.  A
-  negative scheme builds its pre-state's index, so its post-state has one.
+* Undo reads only the pairs its label may be on: the label's candidates,
+  the pairs its operation touched, which the label carries for as long as
+  an entry does (`RevocationLabel.candidates`), and the pairs its state's
+  label index (`labelled`) names under its key, where a document's labels
+  are found.  A pair a later operation relabels or deletes stays a
+  candidate, which undo skips.  A negative scheme builds its pre-state's
+  index, and every later state of the lineage is handed it as it is.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ def apply_scheme(
             raise DuplicateNegativeError(
                 f"negative authorization {i!r} -> {j!r} already present"
             )
-        label = RevocationLabel(i, j, sequence=state.time)
+        label = RevocationLabel(i, j, state.time, candidates=(pos.touched, neg.touched))
 
     _kill(pos, neg, (i, j), label)
     if scheme.is_local:
@@ -352,7 +353,7 @@ def apply_scheme(
         _repair(state, pos, neg, pos.touched | neg.touched)
     if label is None:
         return _finish(state, pos, neg, repaired=True)
-    state.labelled  # built here, it derives into the post-state, which undo reads
+    state.labelled  # built here, it is handed to the post-state, which undo reads
     return _finish(state, pos, neg)
 
 
@@ -532,8 +533,9 @@ def undo_negative(
 
     Everything still carrying the operation's label is removed; reissues that
     displaced existing content restore it instead of vacating the slot.  Only
-    the pairs the label index names under the label are read.  Plain
-    negatives and labels rooted elsewhere are not undoable through this pair.
+    the label's candidates and the pairs the label index names under its key
+    are read.  Plain negatives and labels rooted elsewhere are not undoable
+    through this pair.
     """
     _require_principals(state, grantor, grantee)
     root = state.negative_by_pair.get((grantor, grantee))
@@ -542,7 +544,7 @@ def undo_negative(
             f"no labelled negative revocation rooted at {grantor!r} -> {grantee!r}"
         )
     key = root.label.key
-    candidates = set().union(*state.labelled[key])
+    candidates = set().union(*root.label.candidates, *state.labelled.get(key, ()))
     pos = _working(state.positive_by_pair)
     neg = _working(state.negative_by_pair)
     before_pos, before_neg = pos.before, neg.before

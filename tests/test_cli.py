@@ -11,7 +11,6 @@ import pytest
 
 from authgraph import parse_state, states_equal
 from authgraph.cli import (
-    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
@@ -351,6 +350,11 @@ class TestFailureModes:
                 b' "negative": [], "time": 0}',
                 id="lone-surrogate",
             ),
+            pytest.param(
+                "check",
+                b'{"soa": "A", "principals": ["A", ""], "positive": [], "negative": [], "time": 0}',
+                id="empty-principal",
+            ),
         ],
     )
     def test_hostile_input_is_a_parse_error(self, tmp_path, capsys, command, content):
@@ -398,16 +402,20 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error: positive[0]: unknown principal")
 
     def test_unwritable_output(self, fixtures_dir, tmp_path, capsys):
-        rc = main(
-            [
-                "export",
-                path(fixtures_dir, "empty_six.json"),
-                "-o",
-                str(tmp_path / "no" / "such" / "dir.dot"),
-            ]
-        )
-        assert rc == EXIT_INTERNAL
-        assert "internal error" in capsys.readouterr().err
+        dest = tmp_path / "no" / "such" / "dir.dot"
+        rc = main(["export", path(fixtures_dir, "empty_six.json"), "-o", str(dest)])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: cannot write {dest}: No such file or directory\n"
+
+    def test_output_that_is_a_directory(self, fixtures_dir, tmp_path, capsys):
+        # The document is written to a temporary file beside the target,
+        # which cannot replace a directory: the temporary file goes again.
+        dest = tmp_path / "out"
+        dest.mkdir()
+        rc = main(["export", path(fixtures_dir, "empty_six.json"), "-o", str(dest)])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: cannot write {dest}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"] and not any(dest.iterdir())
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK

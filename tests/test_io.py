@@ -231,6 +231,62 @@ class TestParseStateErrors:
                 "positive[0]: unknown principal '\\ud800'",
                 id="lone-surrogate-endpoint",
             ),
+            pytest.param(
+                _mutant(lambda d: d["positive"][0].update({"from": 1})),
+                "positive[0]: member 'from' must be text",
+                id="endpoint-not-text",
+            ),
+            pytest.param(
+                _mutant(lambda d: d["positive"][0].update(label=3)),
+                "positive[0]: label must be an object",
+                id="label-not-an-object",
+            ),
+            pytest.param(
+                _mutant(
+                    lambda d: d["positive"][0].update(label={"from": "A", "to": "B", "seq": 0, "why": 1})
+                ),
+                "positive[0]: unknown label member 'why'",
+                id="unknown-label-member",
+            ),
+            pytest.param(
+                _mutant(lambda d: d["positive"][0].update(label={"from": "A", "to": "B", "seq": -1})),
+                "positive[0]: label member 'seq' must be a non-negative integer",
+                id="negative-label-seq",
+            ),
+            pytest.param(
+                _mutant(
+                    lambda d: d["positive"][0].update(
+                        label={"from": "A", "to": "B", "seq": 0, "was_blocked": 1}
+                    )
+                ),
+                "positive[0]: label member 'was_blocked' must be a boolean",
+                id="was-blocked-not-a-boolean",
+            ),
+            pytest.param(
+                _mutant(lambda d: d.update(positive=[3])),
+                "positive[0]: entry must be an object",
+                id="entry-not-an-object",
+            ),
+            pytest.param(
+                _mutant(lambda d: d.update(positive={})),
+                "state: member 'positive' must be a list",
+                id="positive-not-a-list",
+            ),
+            pytest.param(
+                _mutant(lambda d: d.update(negative={})),
+                "state: member 'negative' must be a list",
+                id="negative-not-a-list",
+            ),
+            pytest.param(
+                _mutant(lambda d: d.update(soa="", principals=["", "A", "B"])),
+                "state: SOA id must be non-empty",
+                id="empty-soa",
+            ),
+            pytest.param(
+                _mutant(lambda d: d.update(principals=["A", "B", ""])),
+                "state: principal ids must be non-empty strings",
+                id="empty-principal",
+            ),
         ],
     )
     def test_rejected_with_diagnostic(self, payload, message):
@@ -284,6 +340,10 @@ class TestParseTrace:
             (
                 '[{"op": "negative", "from": "A", "to": "B", "kind": "TT"}]',
                 "negative needs exactly op/from/to",
+            ),
+            (
+                '[{"op": "undo", "from": "A", "to": "B", "kind": "TT"}]',
+                "undo needs exactly op/from/to",
             ),
             ('[{"op": "revoke", "from": "A", "to": "B", "scheme": "QQQ"}]', "unknown scheme 'QQQ'"),
             ('[{"op": "grant", "from": "A", "to": "B", "kind": "FF"}]', "kind"),

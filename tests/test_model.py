@@ -102,6 +102,20 @@ class TestStateValidation:
                 soa="A", principals=frozenset({"A"}), positive=(), negative=(), time=-1
             )
 
+    def test_empty_soa_rejected(self):
+        with pytest.raises(ModelError, match="^state: SOA id must be non-empty$"):
+            AuthorizationState(soa="", principals=frozenset({"A"}), positive=(), negative=())
+
+    def test_empty_principal_rejected(self):
+        with pytest.raises(ModelError, match="^state: principal ids must be non-empty strings$"):
+            AuthorizationState(soa="A", principals=frozenset({"A", ""}), positive=(), negative=())
+
+    def test_empty_endpoint_rejected(self):
+        with pytest.raises(ModelError, match="^principal ids must be non-empty$"):
+            PositiveAuth("", "B", PositiveKind.TT)
+        with pytest.raises(ModelError, match="^principal ids must be non-empty$"):
+            NegativeAuth("A", "")
+
 
 def test_pair_indexes():
     state = AuthorizationState(
@@ -175,11 +189,27 @@ def test_delta_rejects_overlap():
         RevocationDelta(
             deleted_positive=frozenset({auth}), issued_positive=frozenset({auth})
         )
+    block = NegativeAuth("A", "B")
+    with pytest.raises(ModelError, match="same negative value"):
+        RevocationDelta(deleted_negative=frozenset({block}), issued_negative=frozenset({block}))
 
 
 def test_label_root_property():
     label = RevocationLabel("A", "B", 9)
     assert label.root == ("A", "B")
+
+
+def test_label_sequence_must_be_natural():
+    with pytest.raises(ModelError, match="^label sequence must be a natural number$"):
+        RevocationLabel("A", "B", -1)
+
+
+def test_label_candidates_are_not_part_of_its_value():
+    # The pairs an operation touched ride on its label for undo only.
+    bare = RevocationLabel("A", "B", 9, PositiveKind.TF)
+    carried = RevocationLabel("A", "B", 9, PositiveKind.TF, candidates=({("A", "B"): None}, {}))
+    assert carried == bare and hash(carried) == hash(bare) and repr(carried) == repr(bare)
+    assert NegativeAuth("A", "B", carried) == NegativeAuth("A", "B", bare)
 
 
 def test_timeline_extension():

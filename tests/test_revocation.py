@@ -313,9 +313,9 @@ class _Unrecorded:
 
 
 def test_undo_reads_only_its_label_candidates(monkeypatch):
-    # An undo on a large lineage state reads one by one the pairs the label
-    # index names under its key, and the pairs its repair drops; it walks no
-    # pair map but to copy one below the share cut, as designed.  The
+    # An undo on a large lineage state reads one by one its label's
+    # candidates, and the pairs its repair drops; it walks no pair map but
+    # to copy one below the share cut, as designed.  The
     # repair's reachability recheck reads the edges of the region it
     # rechecks through the working maps, which fall back on the state's
     # dicts: those reads are not counted here (the recheck's own tests bound
@@ -358,8 +358,8 @@ def test_undo_reads_only_its_label_candidates(monkeypatch):
     for cut in (model._SHARE_MIN_ENTRIES, model._DERIVE_MIN_ENTRIES):
         monkeypatch.setattr(model, "_SHARE_MIN_ENTRIES", cut)
         for root in roots:
-            key = state.negative_by_pair[root].label.key
-            candidates = set().union(*state.labelled[key])
+            label = state.negative_by_pair[root].label
+            candidates = set().union(*label.candidates, *state.labelled.get(label.key, ()))
             # each undo starts from a fresh version over recording dicts, so
             # the reads that reroot away the previous undo's edits are not
             # counted

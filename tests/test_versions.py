@@ -260,7 +260,7 @@ def test_an_older_pair_map_pickles_standalone(sharing):
     assert back == want and back == model.PairMap(dict(want)) and back != sorted(want)
     assert older == want and post.positive_by_pair != want
     assert back.current() is not post.positive_by_pair.current()
-    assert back == want
+    assert back == want  # rerooting the lineage changed nothing in it
     assert repr(model.PairMap({("A", "B"): 1})) == "PairMap({('A', 'B'): 1})"
 
 

@@ -195,8 +195,9 @@ class RevocationLabel:
     facts ride along so undo can restore them instead of deleting the slot.
 
     A label the engine issues also carries `candidates`, the pairs its
-    operation touched in the positive and in the negative map: every pair an
-    entry carrying the label can sit on, kept exactly as long as one does.
+    operation touched in either map: every pair an entry carrying the label
+    can sit on, kept exactly as long as one does.  They are pairs, not
+    entries, so a label and the entries carrying it make no reference cycle.
     Equality, hashing and documents ignore them; a label from a document has
     none, and its state's label index names its pairs instead.
     """

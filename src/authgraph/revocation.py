@@ -340,7 +340,8 @@ def apply_scheme(
             raise DuplicateNegativeError(
                 f"negative authorization {i!r} -> {j!r} already present"
             )
-        label = RevocationLabel(i, j, state.time, candidates=(pos.touched, neg.touched))
+        touched: set[Pair] = set()  # filled below, when the edits are done
+        label = RevocationLabel(i, j, state.time, candidates=(touched,))
 
     _kill(pos, neg, (i, j), label)
     if scheme.is_local:
@@ -353,6 +354,9 @@ def apply_scheme(
         _repair(state, pos, neg, pos.touched | neg.touched)
     if label is None:
         return _finish(state, pos, neg, repaired=True)
+    # Pairs only: a label that held the working maps' entries, which carry
+    # it, would make a reference cycle that only the garbage collector frees.
+    touched.update(pos.touched, neg.touched)
     state.labelled  # built here, it is handed to the post-state, which undo reads
     return _finish(state, pos, neg)
 

@@ -44,7 +44,6 @@ from .model import (
     new_state,
     states_equal,
 )
-from .oracle import check_equivalence, compare_engines, enumerate_chains, fixpoint_apply_delete
 from .revocation import (
     apply_operation,
     apply_scheme,
@@ -65,6 +64,19 @@ from .semantics import (
 )
 
 __version__ = "0.1.0"
+
+# The reference evaluator, which no command uses, is imported on first use.
+_ORACLE = frozenset({"check_equivalence", "compare_engines", "enumerate_chains", "fixpoint_apply_delete"})
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
 
 __all__ = [
     "AuthGraphError",

@@ -9,6 +9,7 @@ newline.  Labels round-trip completely so undo still works after save/load.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from typing import Any
 
 from .errors import ModelError, ParseError
@@ -128,6 +129,7 @@ def _check_version(doc: dict[str, Any], prefix: str) -> None:
 
 _STATE_MEMBERS = frozenset({"version", "soa", "principals", "positive", "negative", "time"})
 _POSITIVE_MEMBERS = frozenset({"from", "to", "kind", "label"})
+_KINDS = {kind.name: kind for kind in PositiveKind}
 _NEGATIVE_MEMBERS = frozenset({"from", "to", "label"})
 
 
@@ -156,9 +158,10 @@ def parse_state(text: str) -> AuthorizationState:
         isinstance(raw_principals, list) and all(isinstance(p, str) for p in raw_principals)
     ):
         raise ParseError("state: member 'principals' must be a list of text names")
-    for index, name in enumerate(raw_principals):
-        if not _is_utf8(name):
-            raise ParseError(f"principals[{index}]: name is not UTF-8 text")
+    if not _is_utf8("".join(raw_principals)):  # one test for all; on failure, find the name
+        for index, name in enumerate(raw_principals):
+            if not _is_utf8(name):
+                raise ParseError(f"principals[{index}]: name is not UTF-8 text")
     principals = frozenset(raw_principals)
     if len(principals) != len(raw_principals):
         raise ParseError("state: duplicate principal names")
@@ -174,31 +177,44 @@ def parse_state(text: str) -> AuthorizationState:
         raise ParseError("state: missing member 'positive'")
     if not isinstance(doc["positive"], list):
         raise ParseError("state: member 'positive' must be a list")
+    index = 0
     try:
         for index, entry in enumerate(doc["positive"]):
+            # The plain, valid entry: exactly from, to and a kind, all text.
+            if type(entry) is dict and len(entry) == 3:
+                grantor, grantee, kind = entry.get("from"), entry.get("to"), entry.get("kind")
+                if type(grantor) is str and type(grantee) is str and type(kind) is str and kind in _KINDS:
+                    positive.append(PositiveAuth(grantor, grantee, _KINDS[kind]))
+                    continue
             where = f"positive[{index}]"
             grantor, grantee = _parse_endpoints(entry, where, _POSITIVE_MEMBERS)
             raw_kind = _str_member(entry, "kind", where)
-            if raw_kind not in PositiveKind.__members__:
+            if raw_kind not in _KINDS:
                 raise ParseError(f"{where}: member 'kind' must be \"TT\" or \"TF\"")
             label = _parse_label(entry["label"], where, principals) if "label" in entry else None
-            positive.append(PositiveAuth(grantor, grantee, PositiveKind[raw_kind], label))
+            positive.append(PositiveAuth(grantor, grantee, _KINDS[raw_kind], label))
     except ModelError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        raise ParseError(f"positive[{index}]: {exc}") from exc
 
     negative: list[NegativeAuth] = []
     if "negative" not in doc:
         raise ParseError("state: missing member 'negative'")
     if not isinstance(doc["negative"], list):
         raise ParseError("state: member 'negative' must be a list")
+    index = 0
     try:
         for index, entry in enumerate(doc["negative"]):
+            if type(entry) is dict and len(entry) == 2:
+                grantor, grantee = entry.get("from"), entry.get("to")
+                if type(grantor) is str and type(grantee) is str:
+                    negative.append(NegativeAuth(grantor, grantee))
+                    continue
             where = f"negative[{index}]"
             grantor, grantee = _parse_endpoints(entry, where, _NEGATIVE_MEMBERS)
             label = _parse_label(entry["label"], where, principals) if "label" in entry else None
             negative.append(NegativeAuth(grantor, grantee, label))
     except ModelError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        raise ParseError(f"negative[{index}]: {exc}") from exc
 
     try:
         return AuthorizationState(soa, principals, tuple(positive), tuple(negative), time)
@@ -209,46 +225,59 @@ def parse_state(text: str) -> AuthorizationState:
 # Serialization.
 
 
-def _label_doc(label: RevocationLabel) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "from": label.root_grantor,
-        "to": label.root_grantee,
-        "seq": label.sequence,
-    }
+def _label_text(label: RevocationLabel) -> str:
+    """A label as the lines of its member of an entry, indented as the
+    document nests it."""
+    text = (
+        f',\n      "label": {{\n        "from": {encode_basestring(label.root_grantor)},'
+        f'\n        "to": {encode_basestring(label.root_grantee)},\n        "seq": {label.sequence:d}'
+    )
     if label.restores_kind is not None:
-        doc["was_kind"] = label.restores_kind.name
+        text += f',\n        "was_kind": "{label.restores_kind.name}"'
     if label.restores_blocked:
-        doc["was_blocked"] = True
-    return doc
+        text += ',\n        "was_blocked": true'
+    return text + "\n      }"
+
+
+def _list_text(member: str, items: list[str]) -> str:
+    if not items:
+        return f'  "{member}": []'
+    return f'  "{member}": [\n' + ",\n".join(items) + "\n  ]"
 
 
 def serialize_state(state: AuthorizationState) -> str:
-    """Render a state as its canonical document, byte-stable across runs."""
+    """Render a state as its canonical document, byte-stable across runs.
+
+    The bytes are those of `json.dumps(doc, indent=2, ensure_ascii=False)`
+    plus a newline, for the document with members in the order written
+    here; with `indent` set, `json` encodes in pure Python, so the lines
+    are written here in one pass, each principal's name quoted once by
+    `json`'s own string encoder.
+    """
+    principals = sorted(state.principals)
+    quoted = {p: encode_basestring(p) for p in principals}
     positive = []
     for auth in state.positive:
-        entry: dict[str, Any] = {
-            "from": auth.grantor,
-            "to": auth.grantee,
-            "kind": auth.kind.name,
-        }
-        if auth.label is not None:
-            entry["label"] = _label_doc(auth.label)
-        positive.append(entry)
+        label = "" if auth.label is None else _label_text(auth.label)
+        positive.append(
+            f'    {{\n      "from": {quoted[auth.grantor]},\n      "to": {quoted[auth.grantee]},'
+            f'\n      "kind": "{auth.kind.name}"{label}\n    }}'
+        )
     negative = []
     for auth in state.negative:
-        entry = {"from": auth.grantor, "to": auth.grantee}
-        if auth.label is not None:
-            entry["label"] = _label_doc(auth.label)
-        negative.append(entry)
-    doc = {
-        "version": FORMAT_VERSION,
-        "soa": state.soa,
-        "principals": sorted(state.principals),
-        "positive": positive,
-        "negative": negative,
-        "time": state.time,
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        label = "" if auth.label is None else _label_text(auth.label)
+        negative.append(
+            f'    {{\n      "from": {quoted[auth.grantor]},\n      "to": {quoted[auth.grantee]}{label}\n    }}'
+        )
+    return (
+        f'{{\n  "version": {FORMAT_VERSION:d},\n  "soa": {quoted[state.soa]},\n'
+        + _list_text("principals", [f"    {quoted[p]}" for p in principals])
+        + ",\n"
+        + _list_text("positive", positive)
+        + ",\n"
+        + _list_text("negative", negative)
+        + f',\n  "time": {state.time:d}\n}}\n'
+    )
 
 
 # Traces.

@@ -36,11 +36,11 @@ overlay into the dict and leaves the pre-state the old entries.  Reading an
 older version reroots the dict to it, one diff at a time and without
 recursion, so every version keeps its own entries, and reads on the current
 version stay plain dict lookups.  Indexes are built from a version without
-rerooting, and derived through the origin's diff.  Versions that share a
-dict must not be read from two threads at once.  Below `_SHARE_MIN_ENTRIES`
-entries a map is a dict of its state's own (`_Flat`), which an operation
-copies: there a copy costs less than the bookkeeping.  A pickled
-state holds plain dicts and unpickles standalone.
+rerooting, and derived through the diffs since their source.  Versions that
+share a dict must not be read from two threads at once.  Below
+`_SHARE_MIN_ENTRIES` entries a map is a dict of its state's own (`_Flat`),
+which an operation copies: there a copy costs less than the bookkeeping.  A
+pickled state holds plain dicts and unpickles standalone.
 
 Every other index is built lazily from the maps, once per state: the TT
 successors by grantor, negatives ignored (`chain_children`), the grantees
@@ -58,19 +58,29 @@ engine can tell which principals hang below a given tree edge.
 
 An engine state's origin is its pre-state, the pairs the operation touched
 and its delta.  Every index it inherits is derived in one place
-(`AuthorizationState._derive`) from the origin's, if the origin has built
-it: derivation reaches one step back.  A grouped index regroups only the
-endpoints of the touched pairs; a reach map is patched by `_recheck`, the
-one incremental reachability primitive, which reads the origin's entries
-through its diff (`PairMap.peek`) and names the new parent of each
-principal it re-admits.  A state of `_DERIVE_MIN_ENTRIES` positive entries
-or more keeps its origin and derives on first read; a smaller one rebuilds,
-as a full pass costs less there.  The orphans, which every repair reads,
-are derived at hand-off at every size, since no later state could reach
-back for them; the label index, if the pre-state has built it, is handed on
-as it is, since no operation adds a label it would have to name.  A state
-drops its origin when an operation takes it as pre-state, so no state holds
-more than one predecessor, and a pickled state carries none.
+(`AuthorizationState._derive`) from a source: the last state of the lineage
+that built the index, with the pairs touched since, kept as the tuple of
+each operation's touched collections.  A post-state's source for an index
+is its pre-state if that has built the index, else the pre-state's own
+source with the operation's pairs added (`_sources`), which costs no index
+work; a post-state finds its sources on its first index read, or when an
+operation takes it as pre-state.  So derivation reaches back along the
+lineage, and an index a few steps skip is still derived, not rebuilt.  A
+grouped index regroups only the endpoints of the touched pairs; a reach map
+is patched by `_recheck`, the one incremental reachability primitive, which
+reads the source's entries through the diffs (`PairMap.peek`) and names
+the new parent of each principal it re-admits; its source must have built
+`chain_children` too.  A state of `_DERIVE_MIN_ENTRIES` positive entries or
+more keeps its sources and derives on first read; a smaller one rebuilds,
+as a full pass costs less there.  A source goes once the pairs touched
+since it, in either map, are as many as the positive entries: from there on
+a rebuild costs no more.  The orphans, which every repair reads, are
+derived from the pre-state at hand-off at every size; the label index, if
+the pre-state has built it, is handed on as it is, since no operation adds
+a label it would have to name.  A state drops its sources when an
+operation takes it as pre-state, so a source lives until a later state has
+built its index and the state after that has found its sources, or until
+the cut drops it; a pickled state carries none.
 """
 
 from __future__ import annotations
@@ -105,16 +115,18 @@ class cached_property:
 
 
 class _index(cached_property):
-    """A per-state index: derived from the state's origin when that has
-    built what it takes (`AuthorizationState._derive`), else built by the
+    """A per-state index: derived from its source, an earlier state of the
+    lineage (`_sources`, `AuthorizationState._derive`), else built by the
     decorated function, as it always is below `_DERIVE_MIN_ENTRIES`."""
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = None if instance._origin is None else instance._derive(self.name, instance._origin)
-        if value is None:
-            value = self.func(instance)
+        origin = instance._origin
+        if type(origin) is tuple:
+            origin = instance.__dict__["_origin"] = _sources(*origin)
+        source = None if origin is None else origin.get(self.name)
+        value = self.func(instance) if source is None else instance._derive(self.name, source)
         instance.__dict__[self.name] = value
         return value
 
@@ -126,7 +138,7 @@ Principal = str
 LabelKey = tuple[Principal, Principal, int]
 
 # Engine states with fewer positive entries than this rebuild their indexes
-# instead of deriving them from their pre-state's (see the module docstring).
+# instead of deriving them from an earlier state's (see the module docstring).
 # On seeded graphs, the first access and independence queries on a fresh
 # post-state cost the same both ways between 10 and 16 entries; at 32 they
 # took 16 us derived against 25 rebuilt, at 256 17 against 135.
@@ -278,7 +290,7 @@ class PairMap(Mapping):
 
     Only `current` reroots, and every read but `peek` and `_flat` goes
     through it.  Index work on a state reroots at most to that state: a
-    build reads its version through `_flat`, a derivation its origin's
+    build reads its version through `_flat`, a derivation its source's
     through `peek`.  So an operation or a query can hold the dicts of the
     state it works on while it works.
     """
@@ -320,7 +332,7 @@ class PairMap(Mapping):
 
     def peek(self, pair: tuple[Principal, Principal]):
         """This version's entry at `pair`, or None, read along the diffs
-        without rerooting: one step from an engine state's origin."""
+        without rerooting: from an index's source, some steps back."""
         node = self
         while node._data is None:
             entry = node._diff.get(pair, node)
@@ -546,15 +558,16 @@ class AuthorizationState:
         (see below the class).  `origin` is the pre-state, the pairs
         touched in its positive and in its negative map, the only pairs on
         which these maps differ from its own, and the `RevocationDelta` of
-        the operation.  The pre-state drops its own origin.  The orphans,
-        known to be none if `repaired`, are derived here, and the label
-        index, if the pre-state has built one, is handed on by reference:
-        the labels the operation issues name their own pairs; a state of
-        `_DERIVE_MIN_ENTRIES` or more keeps the origin for the others.  An
-        operation that repaired nothing must make or unmake no grantor
-        without a plain rooted chain, as none of the engine's does: grants
-        and plain negatives cut nothing, and a scheme's new pairs start at
-        the revoker, a grantor already.
+        the operation.  The orphans, known to be none if `repaired`, are
+        derived here, and the label index, if the pre-state has built one,
+        is handed on by reference: the labels the operation issues name
+        their own pairs.  A state of `_DERIVE_MIN_ENTRIES` or more is handed
+        what it takes to find a source for each other index (`_sources`),
+        which it does on the first read of one, and the pre-state drops its
+        own.  An operation that repaired nothing must make or unmake no
+        grantor without a plain rooted chain, as none of the engine's does:
+        grants and plain negatives cut nothing, and a scheme's new pairs
+        start at the revoker, a grantor already.
         """
         state = object.__new__(cls)
         state.__dict__.update(
@@ -565,17 +578,25 @@ class AuthorizationState:
             negative_by_pair=negative_by_pair,
         )
         if origin is not None:
-            built = origin[0].__dict__
-            built.pop("_origin", None)
-            state.__dict__["orphans"] = _NOTHING if repaired else state._derive("orphans", origin)
+            pre, pos_touched, neg_touched, delta = origin
+            built = pre.__dict__
+            # Before the pre-state drops its sources: this may read its indexes.
+            state.__dict__["orphans"] = (
+                _NOTHING if repaired else _orphans_after(pre, positive_by_pair, pos_touched, delta)
+            )
             if "labelled" in built:
                 state.__dict__["labelled"] = built["labelled"]
-            if len(positive_by_pair) >= _DERIVE_MIN_ENTRIES:
-                state.__dict__["_origin"] = origin
+            handed = built.pop("_origin", None)
+            entries = len(positive_by_pair)
+            if entries >= _DERIVE_MIN_ENTRIES:
+                if type(handed) is tuple:  # never read: resolved now, so that no chain of states forms
+                    handed = _sources(*handed)
+                state.__dict__["_origin"] = (pre, handed, pos_touched, neg_touched, entries)
         return state
 
-    # (pre-state, touched positive pairs, touched negative pairs, delta), kept
-    # by a state of `_DERIVE_MIN_ENTRIES` or more until it becomes an origin.
+    # Kept by a state of `_DERIVE_MIN_ENTRIES` or more until it becomes a
+    # pre-state: the arguments of `_sources` for it, and from the first read
+    # of an index on, their result, by index name the source it derives from.
     _origin = None
 
     def __getstate__(self) -> dict:
@@ -593,7 +614,7 @@ class AuthorizationState:
         self.__dict__.update(fields)
 
     # Derived indexes.  States are immutable, so caching per instance is safe.
-    # A derived index may share objects with its origin's, so no index is
+    # A derived index may share objects with its source's, so no index is
     # ever mutated.
 
     @_index
@@ -632,42 +653,25 @@ class AuthorizationState:
             out.setdefault(grantor, []).append(grantee)
         return {p: tuple(grantees) for p, grantees in out.items()}
 
-    def _derive(self, name: str, origin: tuple):
-        """The index `name` derived from the `origin`'s, or None if the
-        origin has not built what that takes; the orphans always derive.
+    def _derive(self, name: str, source: tuple):
+        """The index `name` derived from its `source` (see `_sources`): an
+        earlier state of the lineage that has built it, and the pairs
+        touched since in either map, as a tuple of collections for each.
 
-        A grouped index is the origin's with the endpoints of the touched
-        pairs regrouped; a reach map is the origin's less the principals
+        A grouped index is the source's with the endpoints of the touched
+        pairs regrouped; a reach map is the source's less the principals
         `_recheck` finds lost, with the parents it names for those it
-        re-admits, and needs the origin's `chain_children` too.  Plain
-        indexes look at touched positive pairs only.
+        re-admits.  Plain indexes look at touched positive pairs only.  A
+        pair touched twice, or touched and restored, costs a second look
+        and changes nothing.
         """
-        origin, pos_touched, neg_touched, delta = origin
+        origin, pos_touched, neg_touched, _ = source
         built = origin.__dict__
-        if name == "orphans":
-            # Only TT entries change the orphans when the operation repaired
-            # nothing (see `_trusted`): a removed or weakened one may cut a
-            # chain, a new one may root an orphan.  Only then are the chains
-            # rechecked.
-            orphans, cut, positive = origin.orphans, False, self.positive_by_pair
-            for auth in delta.deleted_positive:
-                if auth.kind is _TT:
-                    now = positive.get((auth.grantor, auth.grantee))
-                    cut |= now is None or now.kind is not _TT
-            if not cut and not (orphans and any(auth.kind is _TT for auth in delta.issued_positive)):
-                return orphans
-            lost, gained, _ = _recheck(origin, positive, (), pos_touched, False)
-            grantors = origin.outgoing
-            return frozenset(orphans - gained | {p for p in lost if p in grantors})
-        if name not in built:
-            return None
         # Nothing below reroots (see `PairMap`): these stay this state's.
         positive, negative = self.positive_by_pair.current(), self.negative_by_pair.current()
         plain = name in _PLAIN
-        touched = pos_touched if plain else chain(pos_touched, neg_touched)
+        touched = chain.from_iterable(pos_touched if plain else pos_touched + neg_touched)
         if name.endswith("_reach"):
-            if "chain_children" not in built:
-                return None
             lost, _, parents = _recheck(origin, positive, negative, touched, not plain)
             reach = built[name]
             if not lost and not parents:
@@ -692,9 +696,10 @@ class AuthorizationState:
 
         return _regroup(built[name], touched, 0, current)
 
-    @_index
+    @cached_property
     def orphans(self) -> frozenset[Principal]:
-        """Grantors of some authorization that have no plain rooted chain."""
+        """Grantors of some authorization that have no plain rooted chain;
+        an engine state is handed them (`_orphans_after`)."""
         reach = self.plain_reach
         return frozenset(p for p in self.outgoing if p not in reach)
 
@@ -740,6 +745,77 @@ AuthorizationState.positive = cached_property(
 AuthorizationState.negative = cached_property(
     lambda state: _sorted_entries(state.negative_by_pair._flat()), "negative"
 )
+
+
+def _orphans_after(
+    pre: AuthorizationState,
+    positive: PairMap | _Flat,
+    pos_touched: Collection[tuple[Principal, Principal]],
+    delta: RevocationDelta,
+) -> frozenset[Principal]:
+    """The orphans after an operation on `pre` that repaired nothing (see
+    `AuthorizationState._trusted`), which leaves the map `positive`.
+
+    Only TT entries change them then: a removed or weakened one may cut a
+    chain, a new one may root an orphan.  Only then are the chains
+    rechecked.
+    """
+    orphans, cut = pre.orphans, False
+    for auth in delta.deleted_positive:
+        if auth.kind is _TT:
+            now = positive.get((auth.grantor, auth.grantee))
+            cut |= now is None or now.kind is not _TT
+    if not cut and not (orphans and any(auth.kind is _TT for auth in delta.issued_positive)):
+        return orphans
+    lost, gained, _ = _recheck(pre, positive, (), pos_touched, False)
+    grantors = pre.outgoing
+    return frozenset(orphans - gained | {p for p in lost if p in grantors})
+
+
+# The indexes a state derives from a source (`_sources`).
+_LINEAGE = ("chain_children", "plain_reach", "active_reach", "incoming", "outgoing")
+
+
+def _sources(
+    pre: AuthorizationState,
+    handed: dict | None,
+    pos_touched: Collection[tuple[Principal, Principal]],
+    neg_touched: Collection[tuple[Principal, Principal]],
+    entries: int,
+) -> dict[str, tuple]:
+    """By index name, where the post-state of an operation on `pre`, with
+    `entries` positive entries, derives it from: (source state, the positive
+    pairs touched since, the negative pairs touched since, their count),
+    each touched part a tuple of the operations' collections.
+
+    The source is `pre` if it has built the index, else the source `pre`
+    was `handed` for it, the operation's pairs added: derivation reaches
+    back along the lineage to the last state that built the index, and no
+    index work is done here.  A reach map's source must have built
+    `chain_children` too, which `_recheck` walks.  A source goes once the
+    pairs touched since it are as many as the entries: from there on a
+    rebuild costs no more than a derivation, and the versions a source
+    holds between it and the newest state stay as few.
+    """
+    step = len(pos_touched) + len(neg_touched)
+    pos_new = (pos_touched,) if pos_touched else ()
+    neg_new = (neg_touched,) if neg_touched else ()
+    own = (pre, pos_new, neg_new, step) if step < entries else None
+    built = pre.__dict__
+    walks = "chain_children" in built
+    out = {}
+    for name in _LINEAGE:
+        if name in built and (walks or not name.endswith("_reach")):
+            source = own
+        elif handed and name in handed:
+            origin, pos, neg, count = handed[name]
+            count += step
+            source = (origin, pos + pos_new, neg + neg_new, count) if count < entries else None
+        else:
+            continue
+        if source:
+            out[name] = source
+    return out
 
 
 def _tt_adjacency(

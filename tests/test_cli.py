@@ -432,3 +432,16 @@ class TestModuleInvocation:
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout.strip() == "access=true delegation=false"
+
+    def test_the_cli_leaves_the_reference_evaluator_unimported(self):
+        # No command uses `oracle`; the package imports it on first use.
+        code = (
+            "import sys, authgraph.cli\n"
+            "assert 'authgraph.oracle' not in sys.modules\n"
+            "from authgraph import fixpoint_apply_delete\n"
+            "import authgraph\n"
+            "assert fixpoint_apply_delete is authgraph.oracle.fixpoint_apply_delete\n"
+            "assert all(hasattr(authgraph, name) for name in authgraph.__all__)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr

@@ -5,12 +5,17 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from authgraph import (
+    AuthorizationState,
     GrantOp,
+    NegativeAuth,
     NegativeOp,
     ParseError,
+    PositiveAuth,
     PositiveKind,
+    RevocationLabel,
     RevocationRequest,
     RevokeOp,
     Scheme,
@@ -106,6 +111,65 @@ class TestStateRoundTrip:
         del doc["version"]
         state = parse_state(json.dumps(doc))
         assert state.soa == "A" and len(state.positive) == 1
+
+
+def json_document(state):
+    """The canonical document as `json` writes it, for comparison."""
+
+    def label_doc(label):
+        doc = {"from": label.root_grantor, "to": label.root_grantee, "seq": label.sequence}
+        if label.restores_kind is not None:
+            doc["was_kind"] = label.restores_kind.name
+        if label.restores_blocked:
+            doc["was_blocked"] = True
+        return doc
+
+    def entry_doc(auth, **kind):
+        doc = {"from": auth.grantor, "to": auth.grantee, **kind}
+        if auth.label is not None:
+            doc["label"] = label_doc(auth.label)
+        return doc
+
+    doc = {
+        "version": 1,
+        "soa": state.soa,
+        "principals": sorted(state.principals),
+        "positive": [entry_doc(auth, kind=auth.kind.name) for auth in state.positive],
+        "negative": [entry_doc(auth) for auth in state.negative],
+        "time": state.time,
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+# Names that need escaping, or are not ASCII, and any character UTF-8 can
+# encode (no lone surrogate).
+NAME_CHARS = st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é中😀') | st.characters(blacklist_categories=("Cs",))
+
+
+@st.composite
+def labelled_states(draw):
+    names = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=4), min_size=1, max_size=5, unique=True))
+    pairs = [(a, b) for a in names for b in names if a != b]
+    roots = st.sampled_from(names) | st.text(NAME_CHARS, min_size=1, max_size=3)  # the library allows any
+    labels = st.none() | st.builds(
+        RevocationLabel,
+        roots,
+        roots,
+        st.integers(0, 10**12),
+        st.none() | st.sampled_from(PositiveKind),
+        st.booleans(),
+    )
+    entries = st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])
+    positive = [PositiveAuth(*pair, draw(st.sampled_from(PositiveKind)), draw(labels)) for pair in draw(entries)]
+    negative = [NegativeAuth(*pair, draw(labels)) for pair in draw(entries)]
+    return AuthorizationState(
+        names[0], frozenset(names), tuple(positive), tuple(negative), draw(st.integers(0, 10**12))
+    )
+
+
+@given(labelled_states())
+def test_serialize_writes_what_json_writes(state):
+    assert serialize_state(state) == json_document(state)
 
 
 def _mutant(mutate):

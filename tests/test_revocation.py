@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib
+import json
 import pickle
 import random
+import sys
 import weakref
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,7 @@ from authgraph import (
     UnknownPrincipalError,
     apply_operation,
     apply_scheme,
+    apply_step,
     grant,
     has_access_right,
     has_delegation_right,
@@ -42,6 +47,8 @@ from authgraph import (
     is_independent,
     issue_negative,
     new_state,
+    parse_state,
+    parse_trace,
     states_equal,
     undo_negative,
     validate_connectivity,
@@ -455,19 +462,84 @@ def test_first_queries_on_a_large_post_state_build_no_index(monkeypatch):
         assert calls == [], name
 
 
-def test_a_lineage_holds_only_one_predecessor():
+def test_a_trace_lineage_builds_no_reach_after_its_first_operation(monkeypatch):
+    # The benchmark's mixed trace on a parsed document: the first operation
+    # builds the document state's indexes, and every later state derives
+    # each index from the last state that built it, however far back.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        gen = importlib.import_module("gen")
+    finally:
+        del sys.path[0]
+    rng = random.Random(14)
+    graph = gen.standard_graph(rng, 400)
+    state = parse_state(gen.to_document(graph))
+    operations = parse_trace(json.dumps(gen.make_trace(rng, graph, rounds=2)))
+    assert len(state.positive_by_pair) >= model._DERIVE_MIN_ENTRIES and len(operations) == 44
+    calls = []
+    for name in ("_bfs", "_tt_adjacency"):
+        real = getattr(model, name)
+        counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+        monkeypatch.setattr(model, name, counted)
+    state, _ = apply_step(state, operations[0])
+    assert calls  # the document state's own indexes
+    calls.clear()
+    for op in operations[1:]:
+        state, _ = apply_step(state, op)
+    assert calls == []
+    rebuilt = state.replace_authorizations()
+    assert state.active_reach.keys() == rebuilt.active_reach.keys()
+    assert state.plain_reach.keys() == rebuilt.plain_reach.keys()
+    assert calls == ["_tt_adjacency", "_bfs", "_bfs"]  # the rebuild's alone
+
+
+def _sources_of(state):
+    """By index name, the source `state` derives it from (see `model._sources`)."""
+    origin = state.__dict__["_origin"]
+    return model._sources(*origin) if type(origin) is tuple else origin
+
+
+def test_a_source_is_freed_once_later_states_build_its_indexes():
+    # A post-state derives each index from the last earlier state that
+    # built it; a pre-state hands its sources on and drops them, so an
+    # older state lives only while the newest one, or its pre-state's
+    # sources, which it holds until it finds its own, still name it.
     first = _indexed(large_state(seed=2))
     i, j = next(pair for pair in sorted(first.positive_by_pair) if pair not in first.negative_by_pair)
     second, _ = apply_scheme(first, RevocationRequest(Scheme.WGN, i, j))
+    third, _ = undo_negative(second, i, j)
     held = weakref.ref(first)
     del first
     gc.collect()
-    assert held() is not None  # `second` derives its indexes from it
-    has_access_right(second, j)
-    third, _ = undo_negative(second, i, j)
+    assert held() is not None  # `third` derives from it what `second` did not build
+    assert "_origin" not in second.__dict__
+    for name in model._LINEAGE:
+        getattr(third, name)
+    fourth, _ = grant(third, third.soa, j, TT)
+    fourth.active_reach  # its first read finds its sources: `third` for each
     gc.collect()
     assert held() is None
-    assert "_origin" not in second.__dict__ and third.__dict__["_origin"][0] is second
+    sources = _sources_of(fourth)
+    assert sources.keys() == set(model._LINEAGE) and all(source[0] is third for source in sources.values())
+
+
+def test_a_source_is_freed_once_the_pairs_touched_since_reach_the_entries():
+    # A WGN and its undo touch only negatives and read no index, so every
+    # source stays the first state until the pairs touched since it are as
+    # many as the positive entries; then a rebuild costs no more.
+    state = _indexed(large_state(seed=2))
+    entries = len(state.positive_by_pair)
+    i, j = next(pair for pair in sorted(state.positive_by_pair) if pair not in state.negative_by_pair)
+    held = weakref.ref(state)
+    for _ in range(entries):
+        state, _ = apply_scheme(state, RevocationRequest(Scheme.WGN, i, j))
+        state, _ = undo_negative(state, i, j)
+        gc.collect()
+        if held() is None:
+            break
+        assert all(source[0] is held() and source[3] < entries for source in _sources_of(state).values())
+    assert held() is None and _sources_of(state) == {}
+    assert state.active_reach == state.replace_authorizations().active_reach
 
 
 def test_operations_leave_no_cyclic_garbage():

@@ -23,7 +23,7 @@ its position (`positive[3]: unknown principal 'Z'`), and keeps the pair maps
 it checks duplicates with.  `parse_state` checks only the document's shape
 and defers to it.  The engine, which derives each state from a valid one,
 uses the private trusted path instead and hands it only the pair maps and
-its origin (below), from which the state derives every index it inherits.
+its origin (below), from which the state is handed everything it inherits.
 
 The pair maps of a lineage are shallow-bound (Baker, "Shallow binding makes
 functional arrays fast", 1991; the rerooting of Conchon and Filliâtre's
@@ -42,22 +42,29 @@ share a dict must not be read from two threads at once.  Below
 which an operation copies: there a copy costs less than the bookkeeping.  A
 pickled state holds plain dicts and unpickles standalone.
 
-Every other index is built lazily from the maps, once per state: the TT
-successors by grantor, negatives ignored (`chain_children`), the grantees
-by grantor over both maps (`outgoing`), the positive authorizations by
-grantee (`incoming`), rooted reachability, plain and active, both searched
-over `chain_children` (the active search skips blocked pairs), the grantors
-without a plain rooted chain (`orphans`; a repair leaves none), and by label
-key (root grantor, root grantee, sequence) the pairs found carrying that
-label (`labelled`).  A label the engine issues names its own pairs, those
-its operation touched (`RevocationLabel.candidates`), so the label index
-only has to name the labels a state was built with, such as a document's.
+Every other fact a state holds has one producer and one hand-off rule:
+
+* `positive`, `negative`: sorted from the maps on first read, on both paths.
+* `labelled`, by label key the pairs of the entries carrying that label:
+  recorded by the public constructor as it builds its maps, and handed on
+  as it is to every post-state by `_trusted`.  A label the engine issues
+  names its own pairs (`RevocationLabel.candidates`).
+* `orphans`, the grantors without a plain rooted chain: found on first read
+  (a state without grantors has none, found without a reach search); handed
+  to every post-state by `_trusted`, derived from the pre-state's, or none
+  after a repair.
+* `chain_children`, the TT successors by grantor, negatives ignored;
+  `outgoing`, the grantees by grantor over both maps; `incoming`, the
+  positive authorizations by grantee; `plain_reach` and `active_reach`,
+  rooted reachability over `chain_children` (the active search skips
+  blocked pairs): built on first read, or derived from a source (below).
+
 Reachability is kept as a parent map (`{p: the principal whose TT edge
 reaches p in a tree of rooted chains}`, the SOA mapped to None), so the
 engine can tell which principals hang below a given tree edge.
 
 An engine state's origin is its pre-state, the pairs the operation touched
-and its delta.  Every index it inherits is derived in one place
+and its delta.  Every index of the last bullet is derived in one place
 (`AuthorizationState._derive`) from a source: the last state of the lineage
 that built the index, with the pairs touched since, kept as the tuple of
 each operation's touched collections.  A post-state's source for an index
@@ -74,13 +81,10 @@ the new parent of each principal it re-admits; its source must have built
 more keeps its sources and derives on first read; a smaller one rebuilds,
 as a full pass costs less there.  A source goes once the pairs touched
 since it, in either map, are as many as the positive entries: from there on
-a rebuild costs no more.  The orphans, which every repair reads, are
-derived from the pre-state at hand-off at every size; the label index, if
-the pre-state has built it, is handed on as it is, since no operation adds
-a label it would have to name.  A state drops its sources when an
-operation takes it as pre-state, so a source lives until a later state has
-built its index and the state after that has found its sources, or until
-the cut drops it; a pickled state carries none.
+a rebuild costs no more.  A state drops its sources when an operation
+takes it as pre-state, so a source lives until a later state has built its
+index and the state after that has found its sources, or until the cut
+drops it; a pickled state carries none.
 """
 
 from __future__ import annotations
@@ -206,12 +210,15 @@ class RevocationLabel:
     on its pair (upgraded a TF edge, or cleared a standing FF), the displaced
     facts ride along so undo can restore them instead of deleting the slot.
 
-    A label the engine issues also carries `candidates`, the pairs its
-    operation touched in either map: every pair an entry carrying the label
-    can sit on, kept exactly as long as one does.  They are pairs, not
-    entries, so a label and the entries carrying it make no reference cycle.
-    Equality, hashing and documents ignore them; a label from a document has
-    none, and its state's label index names its pairs instead.
+    * `key`, the operation a label names (root grantor, root grantee,
+      sequence), is set by `__post_init__`, also on unpickling; a pickle
+      holds the fields only.
+    * `candidates`, of a label the engine issues, is the set of pairs its
+      operation touched in either map, filled by `apply_scheme`; every entry
+      carrying the label sits on one of them.  Pairs, not entries, so a
+      label and its entries make no reference cycle.  Equality, hashing,
+      `repr` and documents ignore them; a label from a document has none,
+      and the state built with it names its pairs (`labelled`).
     """
 
     root_grantor: Principal
@@ -219,22 +226,25 @@ class RevocationLabel:
     sequence: int
     restores_kind: PositiveKind | None = None
     restores_blocked: bool = False
-    candidates: tuple[Collection, ...] = field(default=(), compare=False, repr=False)
+    candidates: Collection[tuple[Principal, Principal]] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.root_grantor or not self.root_grantee:
             raise ModelError("label root principals must be non-empty")
         if self.sequence < 0:
             raise ModelError("label sequence must be a natural number")
+        self.__dict__["key"] = (self.root_grantor, self.root_grantee, self.sequence)
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "key"}
+
+    def __setstate__(self, fields: dict) -> None:
+        self.__dict__.update(fields)
+        self.__post_init__()
 
     @property
     def root(self) -> tuple[Principal, Principal]:
         return (self.root_grantor, self.root_grantee)
-
-    @property
-    def key(self) -> LabelKey:
-        """The operation this label names; the restored facts aside."""
-        return (self.root_grantor, self.root_grantee, self.sequence)
 
 
 @dataclass(frozen=True)
@@ -247,7 +257,9 @@ class PositiveAuth:
     label: RevocationLabel | None = None
 
     def __post_init__(self) -> None:
-        _check_pair(self.grantor, self.grantee)
+        _check_pair(self.grantor, self.grantee, self.label)
+        if type(self.kind) is not PositiveKind:
+            raise ModelError(f"authorization kind must be a PositiveKind, not {self.kind!r}")
 
     @property
     def pair(self) -> tuple[Principal, Principal]:
@@ -263,18 +275,20 @@ class NegativeAuth:
     label: RevocationLabel | None = None
 
     def __post_init__(self) -> None:
-        _check_pair(self.grantor, self.grantee)
+        _check_pair(self.grantor, self.grantee, self.label)
 
     @property
     def pair(self) -> tuple[Principal, Principal]:
         return (self.grantor, self.grantee)
 
 
-def _check_pair(grantor: Principal, grantee: Principal) -> None:
+def _check_pair(grantor: Principal, grantee: Principal, label: object = None) -> None:
     if not grantor or not grantee:
         raise ModelError("principal ids must be non-empty")
     if grantor == grantee:
         raise ModelError(f"self-authorization {grantor!r} -> {grantee!r} is not allowed")
+    if label is not None and not isinstance(label, RevocationLabel):
+        raise ModelError(f"label must be a RevocationLabel or None, not {type(label).__name__}")
 
 
 class PairMap(Mapping):
@@ -517,6 +531,8 @@ class AuthorizationState:
     # The ground truth; `positive` and `negative` are sorted from these.
     positive_by_pair: PairMap | _Flat = field(init=False, repr=False, compare=False)
     negative_by_pair: PairMap | _Flat = field(init=False, repr=False, compare=False)
+    # By label key, the pairs of the entries given to the public constructor that carry it.
+    labelled: Mapping[LabelKey, Collection] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.soa:
@@ -526,16 +542,14 @@ class AuthorizationState:
                 raise ModelError("state: principal ids must be non-empty strings")
         if self.soa not in self.principals:
             raise ModelError(f"state: SOA {self.soa!r} missing from principals")
-        if self.time < 0:
+        if type(self.time) is not int or self.time < 0:
             raise ModelError("state time must be a natural number")
-        positive = _pair_map("positive", "authorization", self.positive, self.principals)
-        negative = _pair_map("negative", "negative authorization", self.negative, self.principals)
-        self.__dict__.update(
-            positive=_sorted_entries(positive),
-            negative=_sorted_entries(negative),
-            positive_by_pair=_own_map(positive),
-            negative_by_pair=_own_map(negative),
-        )
+        labelled: dict[LabelKey, set] = {}
+        positive = _pair_map("positive", "authorization", self.positive, self.principals, labelled)
+        negative = _pair_map("negative", "negative authorization", self.negative, self.principals, labelled)
+        fields = self.__dict__
+        del fields["positive"], fields["negative"]  # sorted from the maps on first read (below the class)
+        fields.update(positive_by_pair=_own_map(positive), negative_by_pair=_own_map(negative), labelled=labelled)
 
     @classmethod
     def _trusted(
@@ -545,7 +559,7 @@ class AuthorizationState:
         time: int,
         positive_by_pair: PairMap | _Flat,
         negative_by_pair: PairMap | _Flat,
-        origin: "tuple[AuthorizationState, Collection, Collection, RevocationDelta] | None" = None,
+        origin: "tuple[AuthorizationState, Collection, Collection, RevocationDelta]",
         repaired: bool = False,
     ) -> "AuthorizationState":
         """Private trusted path for the engine: a state from parts that are
@@ -553,22 +567,23 @@ class AuthorizationState:
 
         Nothing is checked or sorted: the caller guarantees everything
         `__post_init__` checks, and that the maps are versions no other
-        state edits.
-        `positive` and `negative` are sorted from the maps on first read
-        (see below the class).  `origin` is the pre-state, the pairs
-        touched in its positive and in its negative map, the only pairs on
-        which these maps differ from its own, and the `RevocationDelta` of
-        the operation.  The orphans, known to be none if `repaired`, are
-        derived here, and the label index, if the pre-state has built one,
-        is handed on by reference: the labels the operation issues name
-        their own pairs.  A state of `_DERIVE_MIN_ENTRIES` or more is handed
-        what it takes to find a source for each other index (`_sources`),
-        which it does on the first read of one, and the pre-state drops its
-        own.  An operation that repaired nothing must make or unmake no
-        grantor without a plain rooted chain, as none of the engine's does:
-        grants and plain negatives cut nothing, and a scheme's new pairs
-        start at the revoker, a grantor already.
+        state edits.  `origin` is the pre-state, the pairs touched in its
+        positive and in its negative map, the only pairs on which these maps
+        differ from its own, and the `RevocationDelta` of the operation.
+        What the state inherits is handed on here, one rule per fact:
+
+        * `labelled`: the pre-state's, by reference, for every operation;
+          the labels an operation issues name their own pairs.
+        * `orphans`: none if `repaired`, else derived from the pre-state's
+          (`_orphans_after`).  An operation that repaired nothing must make
+          or unmake no grantor without a plain rooted chain, as none of the
+          engine's does: grants and plain negatives cut nothing, and a
+          scheme's new pairs start at the revoker, a grantor already.
+        * every other index: at `_DERIVE_MIN_ENTRIES` or more, what it takes
+          to find a source for it (`_sources`), which the state does on the
+          first read of one; the pre-state drops its own.
         """
+        pre, pos_touched, neg_touched, delta = origin
         state = object.__new__(cls)
         state.__dict__.update(
             soa=soa,
@@ -576,22 +591,16 @@ class AuthorizationState:
             time=time,
             positive_by_pair=positive_by_pair,
             negative_by_pair=negative_by_pair,
-        )
-        if origin is not None:
-            pre, pos_touched, neg_touched, delta = origin
-            built = pre.__dict__
+            labelled=pre.labelled,
             # Before the pre-state drops its sources: this may read its indexes.
-            state.__dict__["orphans"] = (
-                _NOTHING if repaired else _orphans_after(pre, positive_by_pair, pos_touched, delta)
-            )
-            if "labelled" in built:
-                state.__dict__["labelled"] = built["labelled"]
-            handed = built.pop("_origin", None)
-            entries = len(positive_by_pair)
-            if entries >= _DERIVE_MIN_ENTRIES:
-                if type(handed) is tuple:  # never read: resolved now, so that no chain of states forms
-                    handed = _sources(*handed)
-                state.__dict__["_origin"] = (pre, handed, pos_touched, neg_touched, entries)
+            orphans=_NOTHING if repaired else _orphans_after(pre, positive_by_pair, pos_touched, delta),
+        )
+        handed = pre.__dict__.pop("_origin", None)
+        entries = len(positive_by_pair)
+        if entries >= _DERIVE_MIN_ENTRIES:
+            if type(handed) is tuple:  # never read: resolved now, so that no chain of states forms
+                handed = _sources(*handed)
+            state.__dict__["_origin"] = (pre, handed, pos_touched, neg_touched, entries)
         return state
 
     # Kept by a state of `_DERIVE_MIN_ENTRIES` or more until it becomes a
@@ -699,24 +708,11 @@ class AuthorizationState:
     @cached_property
     def orphans(self) -> frozenset[Principal]:
         """Grantors of some authorization that have no plain rooted chain;
-        an engine state is handed them (`_orphans_after`)."""
-        reach = self.plain_reach
-        return frozenset(p for p in self.outgoing if p not in reach)
-
-    @cached_property
-    def labelled(self) -> Mapping[LabelKey, tuple[Collection, ...]]:
-        """By label key, the pairs of this state's maps found carrying a
-        label under it, as a tuple of pair collections, from one scan.  A
-        post-state is handed its pre-state's index as it is, so along a
-        lineage the index names the labels of the state that built it, a
-        document's, and may name pairs that carry them no more; the labels
-        the engine issues name their own (`RevocationLabel.candidates`)."""
-        out: dict[LabelKey, list[tuple[Principal, Principal]]] = {}
-        for by_pair in (self.positive_by_pair, self.negative_by_pair):
-            for pair, entry in by_pair._flat().items():
-                if entry.label is not None:
-                    out.setdefault(entry.label.key, []).append(pair)
-        return {key: (pairs,) for key, pairs in out.items()}
+        an engine state is handed them (`_orphans_after`).  A state without
+        grantors, a fresh one, has none, found without a reach search."""
+        grantors = self.outgoing
+        reach = self.plain_reach if grantors else ()
+        return frozenset(p for p in grantors if p not in reach)
 
     def replace_authorizations(
         self,
@@ -735,10 +731,11 @@ class AuthorizationState:
         )
 
 
-# A `_trusted` state's `positive` and `negative`: its pair maps, sorted on first
-# read and kept.  Set once the decorator has run, which would otherwise take
-# them for field defaults.  Not a `__getattr__` fallback: CPython does not
-# specialize attribute reads on a class that has one, which slowed every query.
+# A state's `positive` and `negative`, on either path: its pair maps, sorted
+# on first read and kept.  Set once the decorator has run, which would
+# otherwise take them for field defaults.  Not a `__getattr__` fallback:
+# CPython does not specialize attribute reads on a class that has one, which
+# slowed every query.
 AuthorizationState.positive = cached_property(
     lambda state: _sorted_entries(state.positive_by_pair._flat()), "positive"
 )
@@ -831,9 +828,10 @@ def _tt_adjacency(
 
 
 def _pair_map(
-    field: str, noun: str, entries: Iterable[PositiveAuth | NegativeAuth], principals: frozenset
+    field: str, noun: str, entries: Iterable[PositiveAuth | NegativeAuth], principals: frozenset, labelled: dict
 ) -> dict[tuple[Principal, Principal], PositiveAuth | NegativeAuth]:
     """`entries` by pair; each endpoint must be a principal and each pair unique.
+    Each labelled entry's pair is added to `labelled` under its label's key.
 
     A fault names the entry by its position in `entries`.
     """
@@ -846,6 +844,8 @@ def _pair_map(
         if pair in by_pair:
             raise ModelError(f"{field}[{index}]: duplicate {noun} {grantor!r} -> {grantee!r}")
         by_pair[pair] = entry
+        if entry.label is not None:
+            labelled.setdefault(entry.label.key, set()).add(pair)
     return by_pair
 
 
@@ -1003,12 +1003,8 @@ def _regroup(
 
 
 def new_state(soa: Principal, principals: Iterable[Principal]) -> AuthorizationState:
-    """Fresh state at time 0 with no authorizations, hence no orphans and no
-    labels: the engine hands every state it derives both indexes, so a
-    lineage that starts here never scans for them."""
-    state = AuthorizationState(soa=soa, principals=frozenset(principals), positive=(), negative=())
-    state.__dict__.update(orphans=frozenset(), labelled={})
-    return state
+    """Fresh state at time 0 with no authorizations."""
+    return AuthorizationState(soa=soa, principals=frozenset(principals), positive=(), negative=())
 
 
 def states_equal(a: AuthorizationState, b: AuthorizationState) -> bool:
@@ -1031,6 +1027,8 @@ class RevocationRequest:
 
     def __post_init__(self) -> None:
         _check_pair(self.revoker, self.target)
+        if type(self.scheme) is not Scheme:
+            raise ModelError(f"revocation scheme must be a Scheme, not {self.scheme!r}")
 
 
 @dataclass(frozen=True)

@@ -53,21 +53,22 @@ Design notes that the code below relies on:
   the pre-state's parent map and the pairs the working copies touched:
   only the tree subtrees under cut edges are rechecked, so no adjacency is
   rebuilt from a working map and the cost follows the region an operation
-  affects.  Every post-state is handed its origin, from which it derives
-  every index it inherits (see `model`), and the one fact only the
+  affects.  Every post-state is handed its origin, from which it is handed
+  everything it inherits (see `model`), and the one fact only the
   operation knows: that a repair ran, which leaves no orphans.
 * Negative-scheme additions carry a label identifying the operation.  A
   reissue that has to displace existing unlabelled content on its pair (a kind
   upgrade, or clearing a standing FF so the conveyed right stays live) records
   the displaced facts inside the label; undo restores them instead of simply
   deleting the slot.
-* Undo reads only the pairs its label may be on: the label's candidates,
-  the pairs its operation touched, which the label carries for as long as
-  an entry does (`RevocationLabel.candidates`), and the pairs its state's
-  label index (`labelled`) names under its key, where a document's labels
-  are found.  A pair a later operation relabels or deletes stays a
-  candidate, which undo skips.  A negative scheme builds its pre-state's
-  index, and every later state of the lineage is handed it as it is.
+* Undo reads only the pairs its label may be on, the union of two
+  collections: the label's candidates, the pairs its operation touched
+  (`RevocationLabel.candidates`), and the pairs the state's label index
+  (`labelled`) names under its key, where the labels of the entries the
+  lineage was built with are found.  The public constructor records that
+  index, and every operation hands it on as it is, so what undo reads does
+  not depend on any earlier read.  A pair a later operation relabels or
+  deletes stays a candidate, which undo skips.
 """
 
 from __future__ import annotations
@@ -341,7 +342,7 @@ def apply_scheme(
                 f"negative authorization {i!r} -> {j!r} already present"
             )
         touched: set[Pair] = set()  # filled below, when the edits are done
-        label = RevocationLabel(i, j, state.time, candidates=(touched,))
+        label = RevocationLabel(i, j, state.time, candidates=touched)
 
     _kill(pos, neg, (i, j), label)
     if scheme.is_local:
@@ -357,7 +358,6 @@ def apply_scheme(
     # Pairs only: a label that held the working maps' entries, which carry
     # it, would make a reference cycle that only the garbage collector frees.
     touched.update(pos.touched, neg.touched)
-    state.labelled  # built here, it is handed to the post-state, which undo reads
     return _finish(state, pos, neg)
 
 
@@ -548,7 +548,7 @@ def undo_negative(
             f"no labelled negative revocation rooted at {grantor!r} -> {grantee!r}"
         )
     key = root.label.key
-    candidates = set().union(*root.label.candidates, *state.labelled.get(key, ()))
+    candidates = set(root.label.candidates).union(state.labelled.get(key, ()))
     pos = _working(state.positive_by_pair)
     neg = _working(state.negative_by_pair)
     before_pos, before_neg = pos.before, neg.before

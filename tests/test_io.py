@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -170,6 +171,23 @@ def labelled_states(draw):
 @given(labelled_states())
 def test_serialize_writes_what_json_writes(state):
     assert serialize_state(state) == json_document(state)
+
+
+@given(labelled_states())
+def test_the_constructor_records_every_label(state):
+    # By key, the label index names exactly the pairs a scan of both maps
+    # finds; a pickle and, where every label root is a principal, the state
+    # the document parses to name the same.
+    scanned: dict = {}
+    for by_pair in (state.positive_by_pair, state.negative_by_pair):
+        for pair, entry in by_pair.items():
+            if entry.label is not None:
+                scanned.setdefault(entry.label.key, set()).add(pair)
+    copies = [state, pickle.loads(pickle.dumps(state))]
+    if all(grantor in state.principals and grantee in state.principals for grantor, grantee, _ in scanned):
+        copies.append(parse_state(serialize_state(state)))
+    for copy in copies:
+        assert {key: set(pairs) for key, pairs in copy.labelled.items()} == scanned
 
 
 def _mutant(mutate):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from authgraph import (
@@ -93,6 +97,8 @@ class TestStateValidation:
             ),
             negative=(NegativeAuth("B", "A"), NegativeAuth("A", "C")),
         )
+        # sorted on first read, as on the engine's path
+        assert "positive" not in state.__dict__ and "negative" not in state.__dict__
         assert [a.pair for a in state.positive] == [("A", "B"), ("B", "C")]
         assert [n.pair for n in state.negative] == [("A", "C"), ("B", "A")]
 
@@ -101,6 +107,29 @@ class TestStateValidation:
             AuthorizationState(
                 soa="A", principals=frozenset({"A"}), positive=(), negative=(), time=-1
             )
+
+    @pytest.mark.parametrize("time", [1.5, True, "3"])
+    def test_time_must_be_an_int(self, time):
+        # a float fails only when written, and True is written as 1
+        with pytest.raises(ModelError, match="^state time must be a natural number$"):
+            AuthorizationState(soa="A", principals=frozenset({"A"}), positive=(), negative=(), time=time)
+
+    def test_kind_must_be_a_positive_kind(self):
+        # a kind name would pass every check and grant no right
+        with pytest.raises(ModelError, match="^authorization kind must be a PositiveKind, not 'TT'$"):
+            PositiveAuth("A", "B", "TT")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda label: PositiveAuth("A", "B", PositiveKind.TT, label),
+            lambda label: NegativeAuth("A", "B", label),
+        ],
+    )
+    def test_label_must_be_a_revocation_label(self, entry):
+        # a document's label object, not parsed, would fail only when written or undone
+        with pytest.raises(ModelError, match="^label must be a RevocationLabel or None, not dict$"):
+            entry({"from": "A", "to": "B", "seq": 0})
 
     def test_empty_soa_rejected(self):
         with pytest.raises(ModelError, match="^state: SOA id must be non-empty$"):
@@ -183,6 +212,11 @@ def test_request_rejects_self_revocation():
         RevocationRequest(Scheme.WLD, "A", "A")
 
 
+def test_request_scheme_must_be_a_scheme():
+    with pytest.raises(ModelError, match="^revocation scheme must be a Scheme, not 'WLD'$"):
+        RevocationRequest("WLD", "A", "B")
+
+
 def test_delta_rejects_overlap():
     auth = PositiveAuth("A", "B", PositiveKind.TT)
     with pytest.raises(ModelError):
@@ -196,7 +230,13 @@ def test_delta_rejects_overlap():
 
 def test_label_root_property():
     label = RevocationLabel("A", "B", 9)
-    assert label.root == ("A", "B")
+    assert label.root == ("A", "B") and label.key == ("A", "B", 9)
+    # the key is set once per label, and again for each copy
+    assert replace(label, sequence=4).key == ("A", "B", 4)
+    assert replace(label, root_grantee="C").key == ("A", "C", 9)
+    for back in (pickle.loads(pickle.dumps(label)), copy.deepcopy(label)):
+        assert back == label and back.key == label.key and back.__getstate__() == label.__getstate__()
+    assert "key" not in label.__getstate__()  # a pickle holds the fields only
 
 
 def test_label_sequence_must_be_natural():
@@ -207,7 +247,7 @@ def test_label_sequence_must_be_natural():
 def test_label_candidates_are_not_part_of_its_value():
     # The pairs an operation touched ride on its label for undo only.
     bare = RevocationLabel("A", "B", 9, PositiveKind.TF)
-    carried = RevocationLabel("A", "B", 9, PositiveKind.TF, candidates=({("A", "B"): None}, {}))
+    carried = RevocationLabel("A", "B", 9, PositiveKind.TF, candidates={("A", "B"), ("A", "C")})
     assert carried == bare and hash(carried) == hash(bare) and repr(carried) == repr(bare)
     assert NegativeAuth("A", "B", carried) == NegativeAuth("A", "B", bare)
 

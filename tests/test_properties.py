@@ -378,7 +378,7 @@ def check_derived_indexes(state, orphans=True, names=DERIVED):
             }, name
 
 
-@given(edited_states(), st.sets(st.sampled_from(DERIVED + ("orphans", "labelled"))))
+@given(edited_states(), st.sets(st.sampled_from(DERIVED + ("orphans",))))
 @settings(max_examples=400)
 def test_derivation_matches_a_rebuild(case, built):
     state, pos, neg, _ = case
@@ -401,7 +401,7 @@ def test_derivation_matches_a_rebuild(case, built):
             state.soa, state.principals, state.time + 1, positive, negative, (state, pos.touched, neg.touched, delta)
         )
     assert derived.__dict__["_origin"][0] is state
-    assert derived.__dict__.get("labelled") is state.__dict__.get("labelled")  # handed as it is
+    assert derived.labelled is state.labelled  # handed as it is
     check_derived_indexes(derived, orphans=premise)
     for name, index in before.items():  # the origin's indexes are never changed
         assert state.__dict__[name] == index, name
@@ -490,8 +490,7 @@ def test_independence_on_a_derived_tree_that_is_no_bfs_tree():
 
 def lineage_start(draw):
     """A fresh state, or a rooted one whose blocks may carry document labels,
-    some of them of a sequence the state has not reached; half the time with
-    its label index built, so that the first operations hand it on."""
+    some of them of a sequence the state has not reached."""
     names = NAMES[: draw(st.integers(2, 6))]
     if draw(st.booleans()):
         return new_state("A", names)
@@ -499,12 +498,9 @@ def lineage_start(draw):
     labels = st.none() | st.builds(
         RevocationLabel, st.sampled_from(names), st.sampled_from(names), st.integers(0, 3)
     )
-    state = state.replace_authorizations(
+    return state.replace_authorizations(
         negative=[NegativeAuth(n.grantor, n.grantee, draw(labels)) for n in state.negative]
     )
-    if draw(st.booleans()):
-        state.labelled
-    return state
 
 
 def labelled_roots(state):
@@ -558,22 +554,17 @@ def reference_undo(state, root):
 
 
 def check_handed_labels(pre, op, post):
-    """`post` was handed its pre-state's label index as it is if the
-    pre-state had one or the operation was a negative scheme or an undo;
-    every pair that carries a label is a candidate of the label or named
-    under its key by the index; and every labelled root of `post`, of its
-    pickled copy and of the state its document parses to undoes as the
-    scan-based reference does."""
-    if "labelled" in pre.__dict__ or isinstance(op, UndoOp) or (
-        isinstance(op, RevokeOp) and not op.scheme.is_delete
-    ):
-        assert post.__dict__.get("labelled") is pre.__dict__["labelled"], op
-    index = post.labelled
+    """`post` was handed its pre-state's label index as it is, whatever the
+    operation; every pair that carries a label is a candidate of the label
+    or named under its key by the index; and every labelled root of `post`,
+    of its pickled copy and of the state its document parses to undoes as
+    the scan-based reference does."""
+    assert post.labelled is pre.labelled, op
     for by_pair in (post.positive_by_pair, post.negative_by_pair):
         for pair, entry in by_pair.items():
             if entry.label is not None:
-                named = (*entry.label.candidates, *index.get(entry.label.key, ()))
-                assert any(pair in group for group in named), (op, pair)
+                named = post.labelled.get(entry.label.key, ())
+                assert pair in entry.label.candidates or pair in named, (op, pair)
     back = pickle.loads(pickle.dumps(post))
     parsed = parse_state(serialize_state(post))
     for root in labelled_roots(post):

@@ -231,12 +231,12 @@ def test_operations_on_an_indexed_state_build_no_adjacency(revocation_base, monk
 
 @pytest.mark.parametrize("size", [4, 40])
 def test_undo_on_a_fresh_lineage_state_builds_no_index(size, monkeypatch):
-    # A lineage hands every state its orphans and its label index, so
-    # neither WGN nor an undo whose edits cut and restore no TT edge builds
-    # an index: no reach or adjacency pass and no label scan, below the
-    # derivation cut and above it, where each post-state keeps its origin.
+    # A lineage hands every state its orphans and the label index of the
+    # state it started from, so neither WGN nor an undo whose edits cut and
+    # restore no TT edge builds an index: no reach or adjacency pass, below
+    # the derivation cut and above it, where each post-state keeps its origin.
     names = [f"p{k:02d}" for k in range(size)]
-    state = new_state(names[0], names)
+    start = state = new_state(names[0], names)
     for grantor, grantee in zip(names, names[1:]):
         state, _ = grant(state, grantor, grantee, TT)
     assert (len(state.positive_by_pair) >= model._DERIVE_MIN_ENTRIES) == (size > 4)
@@ -245,14 +245,20 @@ def test_undo_on_a_fresh_lineage_state_builds_no_index(size, monkeypatch):
         real = getattr(model, name)
         counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
         monkeypatch.setattr(model, name, counted)
-    scan = AuthorizationState.labelled
-    monkeypatch.setattr(scan, "func", lambda state, _real=scan.func: calls.append("labelled") or _real(state))
     i, j = names[1], names[2]
     negated, _ = apply_scheme(state, RevocationRequest(Scheme.WGN, i, j))
     back, _ = undo_negative(negated, i, j)
     assert calls == []
+    assert back.labelled is negated.labelled is state.labelled is start.labelled
     assert ("_origin" in back.__dict__) == (size > 4)
     assert states_equal(back, state)
+
+
+def test_every_operation_hands_on_the_label_index(revocation_base):
+    # The public constructor records the labels it is given; every engine
+    # state holds its pre-state's record, the same object.
+    for name, post in _each_operation(revocation_base):
+        assert post.labelled is revocation_base.labelled, name
 
 
 def _walk(method):
@@ -342,7 +348,8 @@ def test_undo_reads_only_its_label_candidates(monkeypatch):
     roots = sorted(
         pair for pair, n in state.negative_by_pair.items() if n.label is not None and n.label.root == pair
     )
-    assert len(roots) == 4 and "labelled" in _indexed(state).__dict__
+    assert len(roots) == 4
+    _indexed(state)  # the undos below read the indexes, not the maps
     expected = {root: undo_negative(state.replace_authorizations(), *root)[0] for root in roots}
     contents = state.positive_by_pair.copy(), state.negative_by_pair.copy()
     maps = ()
@@ -366,7 +373,7 @@ def test_undo_reads_only_its_label_candidates(monkeypatch):
         monkeypatch.setattr(model, "_SHARE_MIN_ENTRIES", cut)
         for root in roots:
             label = state.negative_by_pair[root].label
-            candidates = set().union(*label.candidates, *state.labelled.get(label.key, ()))
+            candidates = set(label.candidates).union(state.labelled.get(label.key, ()))
             # each undo starts from a fresh version over recording dicts, so
             # the reads that reroot away the previous undo's edits are not
             # counted
@@ -901,8 +908,8 @@ class TestUndo:
     def test_undo_lifts_a_document_label_of_the_same_key(self, handed):
         # A document label may name a sequence the state has not reached yet.
         # The scheme that runs at that time issues the same label, and its
-        # undo lifts everything carrying it, whether the pre-state scans its
-        # labels or is handed them by the grant before.
+        # undo lifts everything carrying it, whether the pre-state is the
+        # constructed one or is handed its labels by the grant before.
         state = AuthorizationState(
             soa="A",
             principals=frozenset("ABCD"),
@@ -910,10 +917,10 @@ class TestUndo:
             negative=(NegativeAuth("C", "D", RevocationLabel("A", "B", 1)),),
             time=0 if handed else 1,
         )
-        if handed:  # a grant hands on the index its pre-state has built
-            state.labelled
+        if handed:  # a grant hands on the constructor's label index
+            pre = state
             state, _ = grant(state, "A", "D", TF)
-            assert "labelled" in state.__dict__
+            assert state.labelled is pre.labelled
         negated, _ = apply_scheme(state, RevocationRequest(Scheme.WGN, "A", "B"))
         assert negated.negative_by_pair[("A", "B")].label == RevocationLabel("A", "B", 1)
         back, _ = undo_negative(negated, "A", "B")

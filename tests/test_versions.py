@@ -66,7 +66,7 @@ def snapshot(state):
         model._sorted_entries(pos),
         model._sorted_entries(neg),
         state.orphans,
-        {key: set().union(*groups) for key, groups in state.labelled.items()},
+        {key: set(pairs) for key, pairs in state.labelled.items()},
     )
 
 
@@ -130,7 +130,6 @@ def test_a_failing_operation_leaves_every_version_as_it_was(sharing):
     pre = large_state(seed=5)
     assert len(pre.positive_by_pair) >= 32
     assert (type(pre.positive_by_pair) is model.PairMap) == (sharing != "cut")
-    pre.labelled
     i, j = open_edge(pre)
     spare = next(p for p in sorted(pre.principals) if (i, p) not in pre.positive_by_pair and p != i)
     versions = [(pre, snapshot(pre))]
@@ -138,6 +137,7 @@ def test_a_failing_operation_leaves_every_version_as_it_was(sharing):
     versions.append((branch, snapshot(branch)))
     newest, _ = grant(pre, i, spare, TT)
     versions.append((newest, snapshot(newest)))
+    assert branch.labelled is newest.labelled is pre.labelled
     if sharing != "cut":
         assert pre.positive_by_pair._data is None  # `newest` owns the dict
     for state in (newest, pre):  # the newest, then an older version

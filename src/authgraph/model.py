@@ -22,36 +22,47 @@ constructor: it checks everything it is given, names the offending entry by
 its position (`positive[3]: unknown principal 'Z'`), and keeps the pair maps
 it checks duplicates with.  `parse_state` checks only the document's shape
 and defers to it.  The engine, which derives each state from a valid one,
-uses the private trusted path instead and hands it only the pair maps and
-its origin (below), from which the state is handed everything it inherits.
+makes its states through `AuthorizationState._after` instead (below), which
+checks nothing.
 
 The pair maps of a lineage are shallow-bound (Baker, "Shallow binding makes
 functional arrays fast", 1991; the rerooting of Conchon and Filliâtre's
 persistent union-find): each map is a `PairMap`, one version of a dict that
 all versions of the lineage share.  The newest version owns the dict; every
 older one holds the reverse diff of the pairs it differs on from the next
-newer one.  An operation writes only the pairs it touches: it edits an
-overlay while its pre-state stays current, and its commit writes the
-overlay into the dict and leaves the pre-state the old entries.  Reading an
-older version reroots the dict to it, one diff at a time and without
-recursion, so every version keeps its own entries, and reads on the current
-version stay plain dict lookups.  Indexes are built from a version without
-rerooting, and derived through the diffs since their source.  Versions that
-share a dict must not be read from two threads at once.  Below
-`_SHARE_MIN_ENTRIES` entries a map is a dict of its state's own (`_Flat`),
-which an operation copies: there a copy costs less than the bookkeeping.  A
-pickled state holds plain dicts and unpickles standalone.
+newer one.  Reading an older version reroots the dict to it, one diff at a
+time and without recursion, so every version keeps its own entries, and
+reads on the current version stay plain dict lookups.  Indexes are built
+from a version without rerooting, and derived through the diffs since their
+source.  Versions that share a dict must not be read from two threads at
+once.  Below `_SHARE_MIN_ENTRIES` entries a map is a dict of its state's own
+(`_Flat`): there a copy costs less than the bookkeeping.  A pickled state
+holds plain dicts and unpickles standalone.
+
+An operation's edits have one owner here, from its first write to its
+post-state.  It edits each pair map through the working map that map's
+`edit` returns: an overlay (`_Working`) over a shared version, or below the
+share cut a copy.  Either records each pair written or deleted.  The
+pre-state stays current and unchanged until the commit, so a failing
+operation has written nothing, and every pre-state read and every pre-state
+index first built mid-operation sees the pre-state.  The pre-state's
+`_after` then commits each working map: an overlay's edits go into the
+shared dict, and the pre-state keeps the old entries as its diff.  The same
+loop yields the delta, and `_after` hands the post-state what it inherits.
+Above the cut nothing is copied, and nothing is sorted: the engine reads
+states only through their pair maps and indexes, never through the sorted
+`positive`/`negative` tuples.
 
 Every other fact a state holds has one producer and one hand-off rule:
 
 * `positive`, `negative`: sorted from the maps on first read, on both paths.
 * `labelled`, by label key the pairs of the entries carrying that label:
   recorded by the public constructor as it builds its maps, and handed on
-  as it is to every post-state by `_trusted`.  A label the engine issues
+  as it is to every post-state by `_after`.  A label the engine issues
   names its own pairs (`RevocationLabel.candidates`).
 * `orphans`, the grantors without a plain rooted chain: found on first read
   (a state without grantors has none, found without a reach search); handed
-  to every post-state by `_trusted`, derived from the pre-state's, or none
+  to every post-state by `_after`, derived from the pre-state's, or none
   after a repair.
 * `chain_children`, the TT successors by grantor, negatives ignored;
   `outgoing`, the grantees by grantor over both maps; `incoming`, the
@@ -229,10 +240,16 @@ class RevocationLabel:
     candidates: Collection[tuple[Principal, Principal]] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if type(self.root_grantor) is not str or type(self.root_grantee) is not str:
+            raise ModelError("label root principals must be strings")
         if not self.root_grantor or not self.root_grantee:
             raise ModelError("label root principals must be non-empty")
-        if self.sequence < 0:
+        if type(self.sequence) is not int or self.sequence < 0:
             raise ModelError("label sequence must be a natural number")
+        if self.restores_kind is not None and type(self.restores_kind) is not PositiveKind:
+            raise ModelError(f"label restores_kind must be a PositiveKind or None, not {self.restores_kind!r}")
+        if type(self.restores_blocked) is not bool:
+            raise ModelError(f"label restores_blocked must be a bool, not {self.restores_blocked!r}")
         self.__dict__["key"] = (self.root_grantor, self.root_grantee, self.sequence)
 
     def __getstate__(self) -> dict:
@@ -374,29 +391,11 @@ class PairMap(Mapping):
                     out[pair] = entry
         return out
 
-    def _commit(self, touched: Mapping[tuple[Principal, Principal], object]) -> tuple:
-        """The version after the edits `touched` (pair -> new entry, None to
-        delete), with the entries they removed and added.
-
-        The edits go into the shared dict, and this version keeps the old
-        entries as its diff.  With nothing changed, the version after is
-        this one.
-        """
-        if not touched:
-            return self, _NOTHING, _NOTHING
+    def edit(self) -> "_Working | _Flat":
+        """An operation's working map over this version: an overlay, or
+        below the share cut a copy (`_Flat.edit`)."""
         data = self.current()
-        diff, removed, added = _delta(touched, data)
-        if not diff:
-            return self, _NOTHING, _NOTHING
-        for pair in diff:
-            new = touched[pair]
-            if new is None:
-                del data[pair]
-            else:
-                data[pair] = new
-        version = PairMap(data)
-        self._data, self._base, self._diff = None, version, diff
-        return version, removed, added
+        return _Working(self) if len(data) >= _SHARE_MIN_ENTRIES else _Flat.edit(data)
 
     # The reads the engine makes one pair at a time, with `current` inlined.
 
@@ -449,13 +448,23 @@ class _Flat(dict):
     reads at dict speed and offers what the package reads a `PairMap`
     through.
 
-    An operation edits a copy (`revocation._working`), with `before` the
-    dict copied: while the operation runs, the copy records each pair
-    written in `touched` as `_Working` does, and `commit` takes the delta;
-    the post-state keeps the copy, which nothing writes again.
+    An operation edits a copy (`edit`), with `before` the dict copied:
+    while the operation runs, the copy records each pair written in
+    `touched` as `_Working` does, and `commit` takes the delta; the
+    post-state keeps the copy, which nothing writes again.
     """
 
     __slots__ = ("before", "touched")
+
+    def edit(self) -> "_Flat | _Working":
+        """An operation's working map over this map, or over a `PairMap`'s
+        dict below the share cut: a copy, or for a map that has grown to
+        the cut an overlay over a copy, shared from then on."""
+        if len(self) >= _SHARE_MIN_ENTRIES:
+            return _Working(PairMap(self.copy()))
+        copy = _Flat(self)
+        copy.before, copy.touched = self, {}
+        return copy
 
     def __setitem__(self, pair, entry) -> None:
         self.touched[pair] = entry
@@ -488,6 +497,68 @@ class _Flat(dict):
     def __reduce__(self):
         # Not through `__setitem__`, which only a working copy may call.
         return _Flat, (dict(self),)
+
+
+class _Working:
+    """An operation's edits to a version (`PairMap.edit`), over that
+    version, which stays as it is until `commit`.
+
+    `touched` maps every pair written or deleted to its new entry, None
+    for a deletion.  Reads look there first, then in `before`, the
+    version's dict, which nothing reroots before the commit.
+    """
+
+    __slots__ = ("base", "before", "touched")
+
+    def __init__(self, base: PairMap) -> None:
+        self.base = base
+        self.before = base.current()
+        self.touched: dict[tuple[Principal, Principal], object] = {}
+
+    def get(self, pair, default=None):
+        entry = self.touched.get(pair, self)
+        if entry is self:
+            return self.before.get(pair, default)
+        return default if entry is None else entry
+
+    def __contains__(self, pair) -> bool:
+        entry = self.touched.get(pair, self)
+        return pair in self.before if entry is self else entry is not None
+
+    def __setitem__(self, pair, entry) -> None:
+        self.touched[pair] = entry
+
+    def pop(self, pair):
+        entry = self.get(pair)
+        if entry is None:
+            raise KeyError(pair)
+        self.touched[pair] = None
+        return entry
+
+    __delitem__ = pop
+
+    def commit(self) -> tuple:
+        """The version after the edits, with the entries they removed and
+        added.
+
+        The edits go into the shared dict, and the version edited keeps the
+        old entries as its diff.  With nothing changed, the version after is
+        the one edited.
+        """
+        base, touched = self.base, self.touched
+        data = base.current()
+        diff, removed, added = _delta(touched, data)
+        if not diff:
+            return base, _NOTHING, _NOTHING
+        for pair in diff:
+            new = touched[pair]
+            if new is None:
+                del data[pair]
+            else:
+                data[pair] = new
+        version = PairMap(data)
+        base._data, base._base, base._diff = None, version, diff
+        return version, removed, added
 
 
 def _own_map(data: dict) -> PairMap | _Flat:
@@ -551,57 +622,57 @@ class AuthorizationState:
         del fields["positive"], fields["negative"]  # sorted from the maps on first read (below the class)
         fields.update(positive_by_pair=_own_map(positive), negative_by_pair=_own_map(negative), labelled=labelled)
 
-    @classmethod
-    def _trusted(
-        cls,
-        soa: Principal,
-        principals: frozenset[Principal],
-        time: int,
-        positive_by_pair: PairMap | _Flat,
-        negative_by_pair: PairMap | _Flat,
-        origin: "tuple[AuthorizationState, Collection, Collection, RevocationDelta]",
-        repaired: bool = False,
-    ) -> "AuthorizationState":
-        """Private trusted path for the engine: a state from parts that are
-        already valid.
+    def _after(self, pos, neg, repaired: bool = False) -> "tuple[AuthorizationState, RevocationDelta]":
+        """The state after an operation on this one, and its delta: the one
+        way the engine makes a state.
 
-        Nothing is checked or sorted: the caller guarantees everything
-        `__post_init__` checks, and that the maps are versions no other
-        state edits.  `origin` is the pre-state, the pairs touched in its
-        positive and in its negative map, the only pairs on which these maps
-        differ from its own, and the `RevocationDelta` of the operation.
-        What the state inherits is handed on here, one rule per fact:
+        `pos` and `neg` are the operation's working maps over this state's
+        pair maps (`edit`), or None for a map it writes nothing of, which
+        the post-state shares.  Each is committed, which yields the entries
+        deleted and issued.  Nothing is checked or sorted: the engine
+        derives each state from a valid one, and the committed maps are
+        versions no other state edits.  What the post-state inherits is
+        handed on here, one rule per fact:
 
-        * `labelled`: the pre-state's, by reference, for every operation;
-          the labels an operation issues name their own pairs.
-        * `orphans`: none if `repaired`, else derived from the pre-state's
+        * `soa` and `principals`: this state's; its time is one step on.
+        * `labelled`: this state's, by reference, for every operation; the
+          labels an operation issues name their own pairs.
+        * `orphans`: none if `repaired`, else derived from this state's
           (`_orphans_after`).  An operation that repaired nothing must make
           or unmake no grantor without a plain rooted chain, as none of the
           engine's does: grants and plain negatives cut nothing, and a
           scheme's new pairs start at the revoker, a grantor already.
         * every other index: at `_DERIVE_MIN_ENTRIES` or more, what it takes
-          to find a source for it (`_sources`), which the state does on the
-          first read of one; the pre-state drops its own.
+          to find a source for it (`_sources`), which the post-state does
+          on the first read of one; this state drops its own.
         """
-        pre, pos_touched, neg_touched, delta = origin
-        state = object.__new__(cls)
-        state.__dict__.update(
-            soa=soa,
-            principals=principals,
-            time=time,
-            positive_by_pair=positive_by_pair,
-            negative_by_pair=negative_by_pair,
-            labelled=pre.labelled,
-            # Before the pre-state drops its sources: this may read its indexes.
-            orphans=_NOTHING if repaired else _orphans_after(pre, positive_by_pair, pos_touched, delta),
+        if pos is None:
+            positive, deleted_pos, issued_pos, pos_touched = self.positive_by_pair, _NOTHING, _NOTHING, {}
+        else:
+            (positive, deleted_pos, issued_pos), pos_touched = pos.commit(), pos.touched
+        if neg is None:
+            negative, deleted_neg, issued_neg, neg_touched = self.negative_by_pair, _NOTHING, _NOTHING, {}
+        else:
+            (negative, deleted_neg, issued_neg), neg_touched = neg.commit(), neg.touched
+        delta = RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
+        post = object.__new__(type(self))
+        post.__dict__.update(
+            soa=self.soa,
+            principals=self.principals,
+            time=self.time + 1,
+            positive_by_pair=positive,
+            negative_by_pair=negative,
+            labelled=self.labelled,
+            # Before this state drops its sources: this may read its indexes.
+            orphans=_NOTHING if repaired else _orphans_after(self, positive, pos_touched, delta),
         )
-        handed = pre.__dict__.pop("_origin", None)
-        entries = len(positive_by_pair)
+        handed = self.__dict__.pop("_origin", None)
+        entries = len(positive)
         if entries >= _DERIVE_MIN_ENTRIES:
             if type(handed) is tuple:  # never read: resolved now, so that no chain of states forms
                 handed = _sources(*handed)
-            state.__dict__["_origin"] = (pre, handed, pos_touched, neg_touched, entries)
-        return state
+            post.__dict__["_origin"] = (self, handed, pos_touched, neg_touched, entries)
+        return post, delta
 
     # Kept by a state of `_DERIVE_MIN_ENTRIES` or more until it becomes a
     # pre-state: the arguments of `_sources` for it, and from the first read
@@ -751,7 +822,7 @@ def _orphans_after(
     delta: RevocationDelta,
 ) -> frozenset[Principal]:
     """The orphans after an operation on `pre` that repaired nothing (see
-    `AuthorizationState._trusted`), which leaves the map `positive`.
+    `AuthorizationState._after`), which leaves the map `positive`.
 
     Only TT entries change them then: a removed or weakened one may cut a
     chain, a new one may root an orphan.  Only then are the chains

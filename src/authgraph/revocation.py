@@ -38,24 +38,16 @@ Design notes that the code below relies on:
   pair new to the state, and one of the pre-state's own orphans (a document
   may carry them, and so may the post-state of a negative scheme that
   weakened a TT edge; a repair leaves none).
-* Every operation writes into overlays over the pre-state's pair maps
-  (`_Working`), which record each pair written or deleted; the pre-state
-  stays current and unchanged until `_finish`, so a failing operation has
-  written nothing, and every pre-state read and every pre-state index
-  first built mid-operation sees the pre-state.  `_finish` commits each
-  overlay into the lineage's shared dict, leaves the pre-state the old
-  entries as its diff (`model.PairMap`), and takes the delta from the same
-  loop.  Below the share cut (`model._SHARE_MIN_ENTRIES`) an operation
-  edits a copy instead (`_working`); above it nothing is copied, and
-  nothing is sorted.  The engine reads states only through their pair maps
-  and indexes, never through the sorted `positive`/`negative` tuples.
+* Every operation edits its pre-state's pair maps through working maps
+  (`edit`) and ends with the pre-state's `_after`, which commits them and
+  makes the post-state and the delta; both are `model`'s (see there).  The
+  operation hands on the one fact only it knows: that a repair ran, which
+  leaves no orphans.
 * "Who keeps a chain?" is answered by one primitive, `model._recheck`, from
-  the pre-state's parent map and the pairs the working copies touched:
-  only the tree subtrees under cut edges are rechecked, so no adjacency is
+  the pre-state's parent map and the pairs the working maps touched: only
+  the tree subtrees under cut edges are rechecked, so no adjacency is
   rebuilt from a working map and the cost follows the region an operation
-  affects.  Every post-state is handed its origin, from which it is handed
-  everything it inherits (see `model`), and the one fact only the
-  operation knows: that a repair ran, which leaves no orphans.
+  affects.
 * Negative-scheme additions carry a label identifying the operation.  A
   reissue that has to displace existing unlabelled content on its pair (a kind
   upgrade, or clearing a standing FF so the conveyed right stays live) records
@@ -74,7 +66,7 @@ Design notes that the code below relies on:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Iterator, MutableMapping
+from typing import Iterable
 
 from .errors import (
     DowngradeError,
@@ -91,7 +83,6 @@ from .model import (
     NegativeAuth,
     NegativeOp,
     Operation,
-    PairMap,
     PositiveAuth,
     PositiveKind,
     Principal,
@@ -102,99 +93,15 @@ from .model import (
     Timeline,
     TimelineStep,
     UndoOp,
-    _Flat,
-    _NOTHING,
     _recheck,
+    _Working,
 )
-from . import model
 from .semantics import _dependents, _require_principals
 
 Pair = tuple[Principal, Principal]
-PosMap = MutableMapping[Pair, PositiveAuth]
-NegMap = MutableMapping[Pair, NegativeAuth]
+# An operation's working map: an overlay, or a copy that offers the same (see `model`).
+PosMap = NegMap = _Working
 _DEFAULT_CONFIG = EngineConfig()
-
-
-class _Working(MutableMapping):
-    """An operation's edits to one of its pre-state's pair maps, over that
-    map, which stays as it is until `_finish` commits them.
-
-    `touched` maps every pair written or deleted to its new entry, None
-    for a deletion.  Reads look there first, then in `before`, the
-    pre-state's dict, which nothing reroots before the commit.
-    """
-
-    __slots__ = ("base", "before", "touched")
-
-    def __init__(self, base: PairMap) -> None:
-        self.base = base
-        self.before = base.current()
-        self.touched: dict[Pair, object] = {}
-
-    def get(self, pair: Pair, default=None):
-        entry = self.touched.get(pair, self)
-        if entry is self:
-            return self.before.get(pair, default)
-        return default if entry is None else entry
-
-    def __contains__(self, pair) -> bool:
-        entry = self.touched.get(pair, self)
-        return pair in self.before if entry is self else entry is not None
-
-    def __getitem__(self, pair: Pair):
-        entry = self.get(pair)
-        if entry is None:
-            raise KeyError(pair)
-        return entry
-
-    def __setitem__(self, pair: Pair, entry) -> None:
-        self.touched[pair] = entry
-
-    def __delitem__(self, pair: Pair) -> None:
-        self.pop(pair)
-
-    def pop(self, pair: Pair, *default):
-        entry = self.get(pair)
-        if entry is None:
-            if default:
-                return default[0]
-            raise KeyError(pair)
-        self.touched[pair] = None
-        return entry
-
-    def _merged(self) -> dict:
-        out = self.before.copy()
-        for pair, entry in self.touched.items():
-            if entry is None:
-                out.pop(pair, None)
-            else:
-                out[pair] = entry
-        return out
-
-    def __iter__(self) -> Iterator[Pair]:
-        return iter(self._merged())
-
-    def __len__(self) -> int:
-        return len(self._merged())
-
-    def commit(self) -> tuple[PairMap, frozenset, frozenset]:
-        """The post-state's version of the map, with the entries the edits
-        removed and added."""
-        return self.base._commit(self.touched)
-
-
-def _working(base: PairMap | _Flat) -> _Working | _Flat:
-    """The working map an operation edits `base` through: an overlay, or
-    below the share cut (`model._SHARE_MIN_ENTRIES`) a copy, which reads at
-    dict speed and there costs less than an overlay's reads.  A copy that
-    grew to the cut is copied once more, into versions shared from then on."""
-    flat = type(base) is _Flat
-    data = base if flat else base.current()
-    if len(data) < model._SHARE_MIN_ENTRIES:
-        copy = _Flat(data)
-        copy.before, copy.touched = data, {}
-        return copy
-    return _Working(PairMap(data.copy()) if flat else base)
 
 
 def _repair(
@@ -235,40 +142,6 @@ def _repair(
     return dropped
 
 
-def _finish(
-    pre: AuthorizationState,
-    pos: _Working | _Flat | None,
-    neg: _Working | _Flat | None,
-    repaired: bool = False,
-) -> tuple[AuthorizationState, RevocationDelta]:
-    """The post-state and the delta, both from the pairs the operation touched.
-
-    Each working map is committed: an overlay's edits go into the shared
-    dict as the post-state's version of the map, the pre-state keeps the old
-    entries (`PairMap._commit`), and the same loop yields the entries
-    deleted and issued; a copy becomes the post-state's map.  The post-state
-    derives its indexes from its origin (see `model`).
-    """
-    # No working map: the operation writes none of that map's entries, and
-    # the post-state shares the pre-state's.
-    if pos is None:
-        positive, deleted_pos, issued_pos = pre.positive_by_pair, _NOTHING, _NOTHING
-        pos_touched = {}
-    else:
-        (positive, deleted_pos, issued_pos), pos_touched = pos.commit(), pos.touched
-    if neg is None:
-        negative, deleted_neg, issued_neg = pre.negative_by_pair, _NOTHING, _NOTHING
-        neg_touched = {}
-    else:
-        (negative, deleted_neg, issued_neg), neg_touched = neg.commit(), neg.touched
-    delta = RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
-    origin = (pre, pos_touched, neg_touched, delta)
-    post = AuthorizationState._trusted(
-        pre.soa, pre.principals, pre.time + 1, positive, negative, origin, repaired
-    )
-    return post, delta
-
-
 # Elementary operations.
 
 
@@ -289,14 +162,14 @@ def grant(
         raise SelfOperationError(f"{grantor!r} cannot grant to itself")
     if grantor not in state.active_reach:
         raise InactiveGrantorError(f"{grantor!r} has no active rooted delegation chain")
-    pos = _working(state.positive_by_pair)
+    pos = state.positive_by_pair.edit()
     existing = pos.get((grantor, grantee))
     if existing is not None and existing.kind is PositiveKind.TT and kind is PositiveKind.TF:
         raise DowngradeError(
             f"{grantor!r} -> {grantee!r} already delegates; downgrade to access-only refused"
         )
     pos[(grantor, grantee)] = PositiveAuth(grantor, grantee, kind)
-    return _finish(state, pos, None)
+    return state._after(pos, None)
 
 
 def issue_negative(
@@ -308,13 +181,13 @@ def issue_negative(
         raise SelfOperationError(f"{grantor!r} cannot issue a negative against itself")
     if grantor not in state.active_reach:
         raise InactiveGrantorError(f"{grantor!r} has no active rooted delegation chain")
-    neg = _working(state.negative_by_pair)
+    neg = state.negative_by_pair.edit()
     if (grantor, grantee) in neg:
         raise DuplicateNegativeError(
             f"negative authorization {grantor!r} -> {grantee!r} already present"
         )
     neg[(grantor, grantee)] = NegativeAuth(grantor, grantee)
-    return _finish(state, None, neg)
+    return state._after(None, neg)
 
 
 # Revocation schemes.
@@ -329,8 +202,8 @@ def apply_scheme(
     config = config or _DEFAULT_CONFIG
     scheme, i, j = request.scheme, request.revoker, request.target
     _require_principals(state, i, j)
-    pos = _working(state.positive_by_pair)
-    neg = _working(state.negative_by_pair)
+    pos = state.positive_by_pair.edit()
+    neg = state.negative_by_pair.edit()
     if (i, j) not in pos:
         raise MissingAuthorizationError(
             f"no positive authorization from {i!r} to {j!r} to revoke"
@@ -354,11 +227,11 @@ def apply_scheme(
     elif label is None:  # SGD repairs in every round of its cascade
         _repair(state, pos, neg, pos.touched | neg.touched)
     if label is None:
-        return _finish(state, pos, neg, repaired=True)
+        return state._after(pos, neg, repaired=True)
     # Pairs only: a label that held the working maps' entries, which carry
     # it, would make a reference cycle that only the garbage collector frees.
     touched.update(pos.touched, neg.touched)
-    return _finish(state, pos, neg)
+    return state._after(pos, neg)
 
 
 def _kill(pos: PosMap, neg: NegMap, pair: Pair, label: RevocationLabel | None) -> bool:
@@ -549,8 +422,8 @@ def undo_negative(
         )
     key = root.label.key
     candidates = set(root.label.candidates).union(state.labelled.get(key, ()))
-    pos = _working(state.positive_by_pair)
-    neg = _working(state.negative_by_pair)
+    pos = state.positive_by_pair.edit()
+    neg = state.negative_by_pair.edit()
     before_pos, before_neg = pos.before, neg.before
     restored: list[Pair] = []
     for pair in candidates:
@@ -571,7 +444,7 @@ def undo_negative(
             neg[pair] = NegativeAuth(*pair)
     if pos.touched or state.orphans:  # lifting blocks alone cuts no chain
         _repair(state, pos, neg, pos.touched | neg.touched)
-    return _finish(state, pos, neg, repaired=True)
+    return state._after(pos, neg, repaired=True)
 
 
 # Timelines.

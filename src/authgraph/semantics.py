@@ -140,16 +140,16 @@ def validate_connectivity(state: AuthorizationState) -> list[ConnectivityViolati
     not excuse a structurally disconnected grantor.
     """
     reach = state.plain_reach
-    violations = [
-        ConnectivityViolation(auth.grantor, auth.grantee, auth.kind.value)
-        for auth in state.positive
-        if auth.grantor not in reach
-    ]
-    violations.extend(
-        ConnectivityViolation(neg.grantor, neg.grantee, "FF")
-        for neg in state.negative
-        if neg.grantor not in reach
-    )
+    positive, negative = state.positive_by_pair.current(), state.negative_by_pair.current()
+    # Walk the maps and sort only the violations, almost always none.
+    violations = []
+    for by_pair in (positive, negative):
+        unrooted = {grantor for grantor, _ in by_pair}.difference(reach)
+        if unrooted:
+            violations.extend(
+                ConnectivityViolation(g, k, "FF" if by_pair is negative else positive[g, k].kind.value)
+                for g, k in sorted(pair for pair in by_pair if pair[0] in unrooted)
+            )
     return violations
 
 

@@ -244,6 +244,33 @@ def test_label_sequence_must_be_natural():
         RevocationLabel("A", "B", -1)
 
 
+@pytest.mark.parametrize("root", [("A", 3), (3, "B"), (b"A", "B"), ("A", None)])
+def test_label_roots_must_be_strings(root):
+    with pytest.raises(ModelError, match="^label root principals must be strings$"):
+        RevocationLabel(*root, 1)
+
+
+@pytest.mark.parametrize("sequence", [1.5, True, "1", None])
+def test_label_sequence_must_be_an_int(sequence):
+    with pytest.raises(ModelError, match="^label sequence must be a natural number$"):
+        RevocationLabel("A", "B", sequence)
+
+
+@pytest.mark.parametrize("kind", ["TT", "TF", 1])
+def test_label_restores_kind_must_be_a_kind(kind):
+    with pytest.raises(ModelError, match="^label restores_kind must be a PositiveKind or None"):
+        RevocationLabel("A", "B", 1, restores_kind=kind)
+    assert RevocationLabel("A", "B", 1, restores_kind=PositiveKind.TT).restores_kind is PositiveKind.TT
+
+
+@pytest.mark.parametrize("blocked", ["yes", 1, 0, None])
+def test_label_restores_blocked_must_be_a_bool(blocked):
+    with pytest.raises(ModelError, match="^label restores_blocked must be a bool"):
+        RevocationLabel("A", "B", 1, restores_blocked=blocked)
+    with pytest.raises(ModelError, match="^label restores_blocked must be a bool"):
+        replace(RevocationLabel("A", "B", 1), restores_blocked=blocked)
+
+
 def test_label_candidates_are_not_part_of_its_value():
     # The pairs an operation touched ride on its label for undo only.
     bare = RevocationLabel("A", "B", 9, PositiveKind.TF)

@@ -19,7 +19,6 @@ from authgraph import (
     NegativeOp,
     PositiveAuth,
     PositiveKind,
-    RevocationDelta,
     RevocationLabel,
     RevocationRequest,
     RevokeOp,
@@ -282,8 +281,8 @@ def edited_states(draw):
     if draw(st.booleans()):  # indexes built before or only during the recheck
         for name in ("plain_reach", "active_reach", "incoming", "outgoing", "orphans"):
             getattr(state, name)
-    pos = revocation._Working(state.positive_by_pair)
-    neg = revocation._Working(state.negative_by_pair)
+    pos = model._Working(state.positive_by_pair)
+    neg = model._Working(state.negative_by_pair)
     edits = st.tuples(st.sampled_from(EDIT_KINDS), st.sampled_from(pairs), st.sampled_from([TT, TF]), labels)
     for edit, pair, kind, label in draw(st.lists(edits, max_size=8)):
         if edit == "delete" and pair in pos:
@@ -293,11 +292,22 @@ def edited_states(draw):
         elif edit == "unblock" and pair in neg:
             del neg[pair]
         elif edit == "rewrite" and pair in pos:
-            pos[pair] = PositiveAuth(*pair, TF if pos[pair].kind is TT else TT)
+            pos[pair] = PositiveAuth(*pair, TF if pos.get(pair).kind is TT else TT)
         elif edit == "reissue":
             pos[pair] = PositiveAuth(*pair, kind, label)
     avoid = draw(st.none() | st.sampled_from(names))
     return state, pos, neg, avoid
+
+
+def merged(work):
+    """The entries of the overlay `work`: its base's, with its edits."""
+    out = dict(work.before)
+    for pair, entry in work.touched.items():
+        if entry is None:
+            out.pop(pair, None)
+        else:
+            out[pair] = entry
+    return out
 
 
 @given(edited_states(), st.booleans())
@@ -306,7 +316,7 @@ def test_recheck_matches_a_full_pass(case, active):
     state, pos, neg, avoid = case
     blocked_before = state.negative_by_pair if active else ()
     before = reference_reach(state.positive_by_pair, blocked_before, state.soa)
-    after = reference_reach(pos, neg if active else (), state.soa, avoid)
+    after = reference_reach(merged(pos), neg if active else (), state.soa, avoid)
     lost, gained, _ = model._recheck(state, pos, neg, pos.touched | neg.touched, active, avoid)
     assert lost == before - after
     assert gained == after - before
@@ -316,12 +326,13 @@ def test_recheck_matches_a_full_pass(case, active):
 @settings(max_examples=200)
 def test_repair_matches_a_full_pass(case):
     state, pos, neg, _ = case
-    reach = reference_reach(pos, (), state.soa)
-    expected_pos = {pair: auth for pair, auth in pos.items() if pair[0] in reach}
-    expected_neg = {pair: auth for pair, auth in neg.items() if pair[0] in reach}
-    grantees = {grantee for grantor, grantee in pos if grantor not in reach}
+    edited_pos, edited_neg = merged(pos), merged(neg)
+    reach = reference_reach(edited_pos, (), state.soa)
+    expected_pos = {pair: auth for pair, auth in edited_pos.items() if pair[0] in reach}
+    expected_neg = {pair: auth for pair, auth in edited_neg.items() if pair[0] in reach}
+    grantees = {grantee for grantor, grantee in edited_pos if grantor not in reach}
     assert revocation._repair(state, pos, neg, pos.touched | neg.touched) == grantees
-    assert dict(pos) == expected_pos and dict(neg) == expected_neg
+    assert merged(pos) == expected_pos and merged(neg) == expected_neg
 
 
 # Orphan sets handed from each state to the next.
@@ -392,14 +403,11 @@ def test_derivation_matches_a_rebuild(case, built):
         # The orphans are derived on the premise of every engine operation
         # that repairs nothing: each grantor it makes or unmakes has a chain.
         grantors = {g for g, _ in [*state.positive_by_pair, *state.negative_by_pair]}
-        premise = grantors ^ {g for g, _ in [*pos, *neg]} <= reference_reach(pos, (), state.soa)
+        edited_pos = merged(pos)
+        premise = grantors ^ {g for g, _ in [*edited_pos, *merged(neg)]} <= reference_reach(edited_pos, (), state.soa)
         kept = DERIVED + ("orphans", "labelled")
         before = {name: copy.deepcopy(index) for name, index in state.__dict__.items() if name in kept}
-        (positive, deleted_pos, issued_pos), (negative, deleted_neg, issued_neg) = pos.commit(), neg.commit()
-        delta = RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
-        derived = AuthorizationState._trusted(
-            state.soa, state.principals, state.time + 1, positive, negative, (state, pos.touched, neg.touched, delta)
-        )
+        derived, _ = state._after(pos, neg)
     assert derived.__dict__["_origin"][0] is state
     assert derived.labelled is state.labelled  # handed as it is
     check_derived_indexes(derived, orphans=premise)
@@ -409,7 +417,7 @@ def test_derivation_matches_a_rebuild(case, built):
 
 def _rebase(work, base):
     """An overlay over `base` with the edits of the overlay `work`."""
-    out = revocation._Working(base)
+    out = model._Working(base)
     out.touched.update(work.touched)
     return out
 

@@ -354,7 +354,7 @@ def test_undo_reads_only_its_label_candidates(monkeypatch):
     contents = state.positive_by_pair.copy(), state.negative_by_pair.copy()
     maps = ()
 
-    def working(base, _real=revocation._working):
+    def edit(base, _real=model.PairMap.edit):
         if len(base) >= model._SHARE_MIN_ENTRIES:
             return _real(base)
         with _paused(maps):
@@ -363,7 +363,7 @@ def test_undo_reads_only_its_label_candidates(monkeypatch):
     def recheck(state, pos, neg, *args, _real=revocation._recheck):
         return _real(state, _Unrecorded(pos, maps), _Unrecorded(neg, maps), *args)
 
-    monkeypatch.setattr(revocation, "_working", working)
+    monkeypatch.setattr(model.PairMap, "edit", edit)
     monkeypatch.setattr(revocation, "_recheck", recheck)
     # At the share cut as it is, an undo copies both maps.  With the cut at
     # the derivation cut, it shares the positive map and copies the negative

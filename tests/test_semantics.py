@@ -7,6 +7,7 @@ import pytest
 from authgraph import (
     AuthorizationState,
     MissingAuthorizationError,
+    NegativeAuth,
     PositiveAuth,
     PositiveKind,
     UnknownPrincipalError,
@@ -175,3 +176,31 @@ class TestConnectivity:
     def test_blocked_grantor_is_not_a_violation(self, blocked_chain):
         # negatives suspend rights; connectivity is about plain chains
         assert validate_connectivity(blocked_chain) == []
+
+    def test_violations_in_both_maps_sorted_by_pair(self):
+        # Listed positive first, then negative, each sorted by pair; the
+        # sorted entry tuples are not built to find them.
+        TT, TF = PositiveKind.TT, PositiveKind.TF
+        state = AuthorizationState(
+            soa="A",
+            principals=frozenset("ABCDEF"),
+            positive=(
+                PositiveAuth("E", "B", TF),
+                PositiveAuth("A", "B", TT),
+                PositiveAuth("D", "C", TT),
+                PositiveAuth("C", "F", TF),
+                PositiveAuth("C", "D", TT),
+            ),
+            negative=(NegativeAuth("E", "A"), NegativeAuth("B", "C"), NegativeAuth("C", "A"), NegativeAuth("D", "F")),
+        )
+        got = [(v.grantor, v.grantee, v.form) for v in validate_connectivity(state)]
+        assert got == [
+            ("C", "D", "TT"),
+            ("C", "F", "TF"),
+            ("D", "C", "TT"),
+            ("E", "B", "TF"),
+            ("C", "A", "FF"),
+            ("D", "F", "FF"),
+            ("E", "A", "FF"),
+        ]
+        assert "positive" not in state.__dict__ and "negative" not in state.__dict__

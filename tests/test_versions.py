@@ -187,8 +187,8 @@ def test_an_operation_above_the_cut_copies_no_map(monkeypatch):
     monkeypatch.setattr(model, "_SHARE_MIN_ENTRIES", model._DERIVE_MIN_ENTRIES)
     pre = large_state(seed=7)
     data = pre.positive_by_pair.current()
-    work = revocation._working(pre.positive_by_pair)
-    assert type(work) is revocation._Working and work.before is data
+    work = pre.positive_by_pair.edit()
+    assert type(work) is model._Working and work.before is data
     i, j = open_edge(pre)
     post, delta = apply_scheme(pre, RevocationRequest(Scheme.WLD, i, j))
     assert post.positive_by_pair.current() is data

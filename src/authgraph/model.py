@@ -66,9 +66,13 @@ Every other fact a state holds has one producer and one hand-off rule:
   after a repair.
 * `chain_children`, the TT successors by grantor, negatives ignored;
   `outgoing`, the grantees by grantor over both maps; `incoming`, the
-  positive authorizations by grantee; `plain_reach` and `active_reach`,
-  rooted reachability over `chain_children` (the active search skips
-  blocked pairs): built on first read, or derived from a source (below).
+  grantors by grantee over the positive map; `plain_reach` and
+  `active_reach`, rooted reachability over `chain_children` (the active
+  search skips blocked pairs): built on first read, or derived from a
+  source (below).  Every index holds principals, never entries.  The five
+  stay apart: folding `chain_children` into `outgoing` made the first WLD
+  on the 10^5-principal `bench/gen.py` graph take 885-951 ms against
+  657-816, and `check` 55% longer (2-vCPU VM, Python 3.11).
 
 Reachability is kept as a parent map (`{p: the principal whose TT edge
 reaches p in a tree of rooted chains}`, the SOA mapped to None), so the
@@ -156,7 +160,10 @@ LabelKey = tuple[Principal, Principal, int]
 # instead of deriving them from an earlier state's (see the module docstring).
 # On seeded graphs, the first access and independence queries on a fresh
 # post-state cost the same both ways between 10 and 16 entries; at 32 they
-# took 16 us derived against 25 rebuilt, at 256 17 against 135.
+# took 16 us derived against 25 rebuilt, at 256 17 against 135.  With it at
+# 0, so that every state derives, `bench/run.py`'s `small-sweep` read
+# `query_us_p99` 73% higher and its operations 3-6% higher (4 alternating
+# 20-s pairs, seeds 1701-1704, 2-vCPU VM, Python 3.11).
 _DERIVE_MIN_ENTRIES = 32
 
 # Maps with fewer entries than this are each a dict of their state's own
@@ -167,7 +174,10 @@ _DERIVE_MIN_ENTRIES = 32
 # schemes and their undos on one pre-state, with a query on each post-state,
 # the two ways interleaved in one process on a 2-vCPU VM), sharing made a
 # round 12% slower at 32 entries, 10% at 100 and 7% at 300 and 500, and 4%
-# faster at 700, 7% at 1 000 and 24% at 2 000.
+# faster at 700, 7% at 1 000 and 24% at 2 000.  With it at 0, so that every
+# map is shared, `bench/run.py`'s `small-sweep` read its operations 26-47%
+# higher and `query_us` 20% higher (4 alternating 20-s pairs, seeds
+# 1701-1704, 2-vCPU VM, Python 3.11).
 _SHARE_MIN_ENTRIES = 600
 
 
@@ -451,7 +461,8 @@ class _Flat(dict):
     An operation edits a copy (`edit`), with `before` the dict copied:
     while the operation runs, the copy records each pair written in
     `touched` as `_Working` does, and `commit` takes the delta; the
-    post-state keeps the copy, which nothing writes again.
+    post-state keeps the copy, which nothing writes again, unless the edits
+    changed nothing (`_committed`).
     """
 
     __slots__ = ("before", "touched")
@@ -483,8 +494,6 @@ class _Flat(dict):
         """This map as the post-state's, with the entries the edits removed
         and added."""
         before, self.before = self.before, None
-        if not self.touched:
-            return self, _NOTHING, _NOTHING
         _, removed, added = _delta(self.touched, before)
         return self, removed, added
 
@@ -542,8 +551,8 @@ class _Working:
         added.
 
         The edits go into the shared dict, and the version edited keeps the
-        old entries as its diff.  With nothing changed, the version after is
-        the one edited.
+        old entries as its diff.  With nothing changed nothing is written,
+        and the version after is the one edited.
         """
         base, touched = self.base, self.touched
         data = base.current()
@@ -627,11 +636,12 @@ class AuthorizationState:
         way the engine makes a state.
 
         `pos` and `neg` are the operation's working maps over this state's
-        pair maps (`edit`), or None for a map it writes nothing of, which
-        the post-state shares.  Each is committed, which yields the entries
-        deleted and issued.  Nothing is checked or sorted: the engine
-        derives each state from a valid one, and the committed maps are
-        versions no other state edits.  What the post-state inherits is
+        pair maps (`edit`), or None for a map it writes nothing of.  Each is
+        committed, which yields the entries deleted and issued; a map whose
+        edits removed and added nothing is shared with the post-state
+        (`_committed`).  Nothing is checked or sorted: the engine derives
+        each state from a valid one, and the committed maps are versions no
+        other state edits.  What the post-state inherits is
         handed on here, one rule per fact:
 
         * `soa` and `principals`: this state's; its time is one step on.
@@ -646,14 +656,8 @@ class AuthorizationState:
           to find a source for it (`_sources`), which the post-state does
           on the first read of one; this state drops its own.
         """
-        if pos is None:
-            positive, deleted_pos, issued_pos, pos_touched = self.positive_by_pair, _NOTHING, _NOTHING, {}
-        else:
-            (positive, deleted_pos, issued_pos), pos_touched = pos.commit(), pos.touched
-        if neg is None:
-            negative, deleted_neg, issued_neg, neg_touched = self.negative_by_pair, _NOTHING, _NOTHING, {}
-        else:
-            (negative, deleted_neg, issued_neg), neg_touched = neg.commit(), neg.touched
+        positive, deleted_pos, issued_pos, pos_touched = _committed(self.positive_by_pair, pos)
+        negative, deleted_neg, issued_neg, neg_touched = _committed(self.negative_by_pair, neg)
         delta = RevocationDelta(deleted_pos, deleted_neg, issued_pos, issued_neg)
         post = object.__new__(type(self))
         post.__dict__.update(
@@ -677,6 +681,9 @@ class AuthorizationState:
     # Kept by a state of `_DERIVE_MIN_ENTRIES` or more until it becomes a
     # pre-state: the arguments of `_sources` for it, and from the first read
     # of an index on, their result, by index name the source it derives from.
+    # Resolved lazily: resolving it in every `_after` made `admin-2k`'s
+    # operations 5-18% slower (`undo_ms` +18%, `grant_ms` +10%; 4 alternating
+    # 20-s pairs, seeds 1701-1704, 2-vCPU VM, Python 3.11).
     _origin = None
 
     def __getstate__(self) -> dict:
@@ -715,12 +722,12 @@ class AuthorizationState:
         return _bfs(self.chain_children, self.soa, self.negative_by_pair._flat())
 
     @_index
-    def incoming(self) -> Mapping[Principal, tuple[PositiveAuth, ...]]:
-        """Positive authorizations per grantee, in no particular order."""
-        out: dict[Principal, list[PositiveAuth]] = {}
-        for auth in self.positive_by_pair._flat().values():
-            out.setdefault(auth.grantee, []).append(auth)
-        return {p: tuple(auths) for p, auths in out.items()}
+    def incoming(self) -> Mapping[Principal, tuple[Principal, ...]]:
+        """Grantors per grantee over the positive map, in no particular order."""
+        out: dict[Principal, list[Principal]] = {}
+        for grantor, grantee in self.positive_by_pair._flat():
+            out.setdefault(grantee, []).append(grantor)
+        return {p: tuple(grantors) for p, grantors in out.items()}
 
     @_index
     def outgoing(self) -> Mapping[Principal, tuple[Principal, ...]]:
@@ -761,20 +768,20 @@ class AuthorizationState:
                 del reach[p]
             reach.update(parents)
             return reach
-        if name == "incoming":
-            return _regroup(built[name], touched, 1, positive.get)
-        if name == "outgoing":
+        if name == "chain_children":
 
-            def current(pair):
-                return pair[1] if pair in positive or pair in negative else None
-
-        else:  # chain_children
-
-            def current(pair):
+            def present(pair):
                 auth = positive.get(pair)
-                return pair[1] if auth is not None and auth.kind is _TT else None
+                return auth is not None and auth.kind is _TT
 
-        return _regroup(built[name], touched, 0, current)
+        elif name == "outgoing":
+
+            def present(pair):
+                return pair in positive or pair in negative
+
+        else:  # incoming
+            present = positive.__contains__
+        return _regroup(built[name], touched, name == "incoming", present)
 
     @cached_property
     def orphans(self) -> frozenset[Principal]:
@@ -813,6 +820,18 @@ AuthorizationState.positive = cached_property(
 AuthorizationState.negative = cached_property(
     lambda state: _sorted_entries(state.negative_by_pair._flat()), "negative"
 )
+
+
+def _committed(own: PairMap | _Flat, work: "_Working | _Flat | None") -> tuple:
+    """A pre-state's map `own` after its working map `work` (None for none)
+    is committed, the entries removed and added, and the pairs touched.
+    Where nothing was removed or added it is `own` itself, the same object
+    whether `work` is an overlay or a copy; one that touched nothing is not
+    committed."""
+    if work is None or not work.touched:
+        return own, _NOTHING, _NOTHING, {}
+    version, removed, added = work.commit()
+    return (version if removed or added else own), removed, added, work.touched
 
 
 def _orphans_after(
@@ -1012,8 +1031,7 @@ def _recheck(
         for k in marked:
             if k == avoid:
                 continue
-            for auth in incoming.get(k, ()):
-                g = auth.grantor
+            for g in incoming.get(k, ()):
                 if g in reach and g not in marked:
                     now = get((g, k))
                     if now is not None and now.kind is _TT and (g, k) not in blocked:
@@ -1044,28 +1062,23 @@ def _recheck(
 
 
 def _regroup(
-    index: Mapping[Principal, tuple],
+    index: Mapping[Principal, tuple[Principal, ...]],
     touched: Iterable[tuple[Principal, Principal]],
     side: int,
-    current,
-) -> dict[Principal, tuple]:
-    """A copy of `index`, a tuple of items per principal, with the items of
-    the `touched` pairs replaced by `current(pair)`, or dropped where that is
-    None.  Items are filed under a pair's grantor (`side` 0; the item is the
-    grantee) or its grantee (`side` 1; the item is a `PositiveAuth`).  Only
-    the principals of touched pairs are regrouped."""
-    changed: dict[Principal, set[Principal]] = {}
+    present,
+) -> dict[Principal, tuple[Principal, ...]]:
+    """A copy of `index`, a tuple of principals per principal, with each
+    `touched` pair filed again where `present(pair)` holds and dropped
+    elsewhere.  A pair is filed under its grantor (`side` 0) or its grantee
+    (`side` 1), as the principal at its other end.  Only the principals of
+    touched pairs are regrouped."""
+    changed: dict[Principal, dict[Principal, tuple[Principal, Principal]]] = {}
     for pair in touched:
-        changed.setdefault(pair[side], set()).add(pair[1 - side])
+        changed.setdefault(pair[side], {})[pair[1 - side]] = pair
     out = dict(index)
-    for p, others in changed.items():
-        if side:
-            items = [auth for auth in out.get(p, ()) if auth.grantor not in others]
-            fresh = [current((other, p)) for other in others]
-        else:
-            items = [k for k in out.get(p, ()) if k not in others]
-            fresh = [current((p, other)) for other in others]
-        items.extend(item for item in fresh if item is not None)
+    for p, pairs in changed.items():
+        items = [other for other in out.get(p, ()) if other not in pairs]
+        items.extend(other for other, pair in pairs.items() if present(pair))
         if items:
             out[p] = tuple(items)
         else:

@@ -11,8 +11,8 @@ below, and `apply_scheme` composes them into all eight schemes:
   issued by principals whose every active chain runs through the revoker i
   (`semantics._dependents`: the active reach lost when i is excised, which
   also decides `is_independent` when i lies on j's tree path); weak schemes
-  leave other grantors' edges alone.  The grants into a target come from the
-  pre-state's grantee index.
+  leave other grantors' edges alone.  The grantors of a target come from the
+  pre-state's `incoming`, which holds principals, not entries.
 * Propagation: local schemes (`_reroot`) touch only authorizations incident
   to the target j, re-rooting j's grants at i.  Global schemes cascade to
   everything that depended on the revoked edge: a blocked edge inactivates
@@ -260,8 +260,7 @@ def _dominate(
     active = state.active_reach
     killed = False
     for k in targets:
-        for auth in state.incoming.get(k, ()):
-            g = auth.grantor
+        for g in state.incoming.get(k, ()):
             if (g in dependents or g not in active) and (g, k) in pos:
                 killed |= _kill(pos, neg, (g, k), label)
     return killed

@@ -10,8 +10,8 @@ Rooted reachability, plain and active, is kept with each state (states are
 immutable) as a parent map, a tree of rooted chains built at most once per
 state: by a breadth-first pass over its TT-successor index, or patched from
 its pre-state's map by rechecking only the tree subtrees the operation cut.
-Access then needs only the grantee's incoming edges, and edge activity a
-dict lookup.  Independence walks j's parent chain: a chain that avoids i
+Access then needs only the grantee's grantors, and edge activity a dict
+lookup.  Independence walks j's parent chain: a chain that avoids i
 answers it at once.  When i lies on that chain, `_dependents` decides, the
 same excision the strong schemes use: `model._recheck` with i excised marks
 i's subtree and re-admits what a live edge from outside it still reaches,
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MissingAuthorizationError, UnknownPrincipalError
-from .model import AuthorizationState, PositiveKind, Principal, _recheck
+from .model import AuthorizationState, Principal, _recheck
 
 
 def reachable_plain(state: AuthorizationState) -> frozenset[Principal]:
@@ -60,17 +60,14 @@ def has_delegation_right(state: AuthorizationState, p: Principal) -> bool:
 
 
 def has_access_right(state: AuthorizationState, p: Principal) -> bool:
-    """Active chain, or an unblocked TF edge from a principal with one."""
+    """Active chain, or an unblocked positive from a principal with one."""
     _require_principals(state, p)
     active = state.active_reach
-    if p in active:
-        return True
-    blocked = state.negative_by_pair
-    return any(
-        auth.kind is PositiveKind.TF
-        and auth.grantor in active
-        and (auth.grantor, p) not in blocked
-        for auth in state.incoming.get(p, ())
+    # The README's definition as it reads: no kind test is needed, because
+    # once p is not in `active_reach`, an unblocked positive into p from an
+    # active grantor cannot be a TT.
+    return p in active or any(
+        g in active and (g, p) not in state.negative_by_pair for g in state.incoming.get(p, ())
     )
 
 

@@ -1,16 +1,18 @@
-"""Every scheme on every connected state over three principals.
+"""Every scheme on every connected state over three principals, and every
+query on every state.
 
 Jackson's small-scope hypothesis (*Software Abstractions*, 2006): check
 everything up to a small bound rather than samples.  The states are those
-over {a, b, c} with SOA a whose every grantor has a plain rooted chain; each
-of the six ordered pairs holds no positive, a TF or a TT, each with or
-without an FF.  Swapping b and c maps such a state to another one and every
+over {a, b, c} with SOA a; each of the six ordered pairs holds no positive,
+a TF or a TT, each with or without an FF.  The schemes run on the connected
+ones, whose every grantor has a plain rooted chain.  Swapping b and c maps such a state to another one and every
 result to the swapped result, so one state of each swapped pair is checked.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterator
 
 from authgraph import (
     AuthorizationState,
@@ -21,7 +23,12 @@ from authgraph import (
     RevocationRequest,
     Scheme,
     apply_scheme,
+    enumerate_chains,
     fixpoint_apply_delete,
+    has_access_right,
+    has_delegation_right,
+    is_auth_active,
+    is_independent,
     states_equal,
     undo_negative,
     validate_connectivity,
@@ -53,17 +60,23 @@ def build(spec: tuple[int, ...]) -> AuthorizationState:
     )
 
 
-def connected() -> list[tuple[tuple[int, ...], AuthorizationState, int]]:
-    """One spec of each swapped pair of connected states, its state, and
-    the number of states it stands for: 1 if the swap leaves it as it is,
-    else 2."""
-    out = []
+def representatives() -> Iterator[tuple[tuple[int, ...], int]]:
+    """One spec of each swapped pair, and the number of states it stands
+    for: 1 if the swap leaves it as it is, else 2."""
     for spec in product(range(len(SLOTS)), repeat=len(PAIRS)):
         swapped = tuple(spec[n] for n in SWAPPED)
         if spec <= swapped:
-            state = build(spec)
-            if not validate_connectivity(state):
-                out.append((spec, state, 1 if spec == swapped else 2))
+            yield spec, 1 if spec == swapped else 2
+
+
+def connected() -> list[tuple[tuple[int, ...], AuthorizationState, int]]:
+    """One spec of each swapped pair of connected states, its state, and
+    the number of states it stands for."""
+    out = []
+    for spec, weight in representatives():
+        state = build(spec)
+        if not validate_connectivity(state):
+            out.append((spec, state, weight))
     return out
 
 
@@ -127,3 +140,40 @@ def test_every_scheme_on_every_3_principal_state_connectivity_except_wln_sln():
                 differences.append((where, "undo over shared maps differs"))
     assert not differences, (len(differences), differences[:10])
     assert (applications, refusals) == (338_016, 112_672), (applications, refusals)
+
+
+def test_queries_on_every_3_principal_state_match_its_chains():
+    # Every state, connected or not, against the README's definitions, read
+    # off the spec and the chains `enumerate_chains` lists: p delegates iff
+    # an active chain reaches it; p has access iff it delegates or holds an
+    # unblocked positive from a grantor that delegates; an entry is active
+    # iff it is unblocked and its grantor delegates; j is independent of i
+    # iff an active chain reaches j without visiting i.  No per-state index
+    # holds anything but principals.
+    names = ("a", "b", "c")
+    states, differences = 0, []
+    for spec, weight in representatives():
+        states += weight
+        state = build(spec)
+        held = {pair: SLOTS[slot] for pair, slot in zip(PAIRS, spec)}
+        granted = [pair for pair, (kind, _) in held.items() if kind is not None]
+        delegates = {p: bool(enumerate_chains(state, p, "active")) for p in names}
+        want, got = {}, {}
+        for g, k in granted:
+            want[g, k] = delegates[g] and not held[g, k][1]
+            got[g, k] = is_auth_active(state, g, k)
+        for p in names:
+            access = any(want[pair] for pair in granted if pair[1] == p)
+            want[p] = (delegates[p], delegates[p] or access)
+            got[p] = (has_delegation_right(state, p), has_access_right(state, p))
+            for i in names:
+                want[p, i, "independent"] = bool(enumerate_chains(state, p, "active", avoid=i))
+                got[p, i, "independent"] = is_independent(state, p, i)
+        if got != want:
+            differences.append((spec, {key for key in want if got[key] != want[key]}))
+        for name in ("chain_children", "outgoing", "incoming"):
+            for p, items in getattr(state, name).items():
+                if not all(type(x) is str and x in state.principals and x != p for x in items):
+                    differences.append((spec, name, p, items))
+    assert states == len(SLOTS) ** len(PAIRS) == 46_656
+    assert not differences, (len(differences), differences[:10])

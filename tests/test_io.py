@@ -83,6 +83,13 @@ class TestStateRoundTrip:
         text = (fixtures_dir / filename).read_text(encoding="utf-8")
         assert serialize_state(parse_state(text)) == text
 
+    def test_readme_state_example_is_canonical(self, fixtures_dir):
+        # The "File formats" section promises the canonical layout, so its
+        # example must be byte for byte what `serialize_state` writes.
+        readme = (fixtures_dir.parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## File formats", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        assert serialize_state(parse_state(block)) == block
+
     def test_member_order_and_trailing_newline(self, revocation_base):
         text = serialize_state(revocation_base)
         keys = list(json.loads(text))

@@ -199,6 +199,24 @@ def test_an_operation_above_the_cut_copies_no_map(monkeypatch):
     assert type(after.positive_by_pair) is model._Flat and dict(small.positive_by_pair) == {}
 
 
+def test_a_map_the_edits_left_as_it_was_is_the_pre_states_own():
+    # WGD here writes no negative.  Whichever working map the pre-state's
+    # negative map hands out, a copy of a dict of its own (`_Flat`), a copy
+    # of a shared version's dict below the cut, or an overlay over a copy
+    # of a `_Flat` grown to the cut, the post-state's negative map is the
+    # pre-state's object; the positive map the edits changed is a new one.
+    entries = [model.PositiveAuth(*pair, kind) for *pair, kind in (("A", "B", TT), ("B", "C", TT), ("C", "D", TF))]
+    cut = model._SHARE_MIN_ENTRIES
+    for built_at, edited_at, kind in ((cut, cut, model._Flat), (0, cut, model.PairMap), (cut, 0, model._Flat)):
+        with mock.patch.object(model, "_SHARE_MIN_ENTRIES", built_at):
+            pre = model.AuthorizationState("A", frozenset("ABCD"), tuple(entries), ())
+        with mock.patch.object(model, "_SHARE_MIN_ENTRIES", edited_at):
+            post, delta = apply_scheme(pre, RevocationRequest(Scheme.WGD, "A", "B"))
+        assert type(pre.negative_by_pair) is kind and not delta.issued_negative
+        assert post.negative_by_pair is pre.negative_by_pair, kind
+        assert post.positive_by_pair is not pre.positive_by_pair and delta.deleted_positive
+
+
 def test_reading_the_start_of_a_long_lineage(sharing):
     # Rerooting walks the diffs iteratively: 5 000 operations deep, the
     # initial state still reads back as it was, and so does the newest.

@@ -617,6 +617,8 @@ class AuthorizationState:
     def __post_init__(self) -> None:
         if not self.soa:
             raise ModelError("state: SOA id must be non-empty")
+        if type(self.principals) is not frozenset:  # a str would test membership by substring
+            raise ModelError(f"state: principals must be a frozenset, not {type(self.principals).__name__}")
         for p in self.principals:
             if not isinstance(p, str) or not p:
                 raise ModelError("state: principal ids must be non-empty strings")
@@ -625,8 +627,8 @@ class AuthorizationState:
         if type(self.time) is not int or self.time < 0:
             raise ModelError("state time must be a natural number")
         labelled: dict[LabelKey, set] = {}
-        positive = _pair_map("positive", "authorization", self.positive, self.principals, labelled)
-        negative = _pair_map("negative", "negative authorization", self.negative, self.principals, labelled)
+        positive = _pair_map("positive", PositiveAuth, self.positive, self.principals, labelled)
+        negative = _pair_map("negative", NegativeAuth, self.negative, self.principals, labelled)
         fields = self.__dict__
         del fields["positive"], fields["negative"]  # sorted from the maps on first read (below the class)
         fields.update(positive_by_pair=_own_map(positive), negative_by_pair=_own_map(negative), labelled=labelled)
@@ -918,15 +920,19 @@ def _tt_adjacency(
 
 
 def _pair_map(
-    field: str, noun: str, entries: Iterable[PositiveAuth | NegativeAuth], principals: frozenset, labelled: dict
+    field: str, kind: type, entries: Iterable[PositiveAuth | NegativeAuth], principals: frozenset, labelled: dict
 ) -> dict[tuple[Principal, Principal], PositiveAuth | NegativeAuth]:
-    """`entries` by pair; each endpoint must be a principal and each pair unique.
-    Each labelled entry's pair is added to `labelled` under its label's key.
+    """`entries` by pair; each entry must be a `kind`, each endpoint a
+    principal and each pair unique.  Each labelled entry's pair is added to
+    `labelled` under its label's key.
 
     A fault names the entry by its position in `entries`.
     """
     by_pair: dict = {}
+    noun = "authorization" if kind is PositiveAuth else "negative authorization"
     for index, entry in enumerate(entries):
+        if type(entry) is not kind:
+            raise ModelError(f"{field}[{index}]: expected a {kind.__name__}, not {type(entry).__name__}")
         pair = grantor, grantee = entry.grantor, entry.grantee
         if grantor not in principals or grantee not in principals:
             unknown = grantor if grantor not in principals else grantee

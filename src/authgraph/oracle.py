@@ -2,10 +2,17 @@
 
 Everything here recomputes results from first principles: chain and
 independence queries by explicit enumeration of simple delegation paths, and
-the four delete schemes by a declarative rule loop that alternates growth of
-the deletion set with recomputation of rooted chains until nothing changes.
-The only vocabulary shared with the engine is the data model; none of the
-engine's traversal or transition code is reused.  `check_equivalence` is the
+the four delete schemes by rules evaluated to a fixpoint on a copy of the
+pre-state's entries.  The rules fire in this order: the revoked grant goes,
+and under strong dominance every grant into the target whose grantor is not
+independent of the revoker (the seed); local schemes re-root the target's
+grants at the revoker, once; then one loop repeats the repair (a grantor
+with no plain rooted chain loses its entries, old and reissued) and, under
+SGD, dominance at every grantee a deletion reached, until nothing changes.
+
+The only vocabulary shared with the engine is the data model's value types
+and errors; none of the engine's indexes, traversal or transition code is
+read (`tests/test_oracle.py` checks that).  `check_equivalence` is the
 single place where both implementations are invoked side by side.
 """
 
@@ -102,7 +109,7 @@ def enumerate_chains(
 
 
 def _reachable(
-    tt_pairs: frozenset[Pair], start: Principal, banned: frozenset[Principal] = frozenset()
+    tt_pairs: Iterable[Pair], start: Principal, banned: frozenset[Principal] = frozenset()
 ) -> frozenset[Principal]:
     """Principals with some rooted path over the given edges, skipping `banned`."""
     if start in banned:
@@ -123,16 +130,27 @@ def fixpoint_apply_delete(
     request: RevocationRequest,
     config: EngineConfig | None = None,
 ) -> AuthorizationState:
-    """Recompute a delete-scheme revocation by declarative rule alternation.
+    """Recompute a delete-scheme revocation as one least fixpoint of rules.
 
-    Instead of the engine's imperative per-scheme procedure, this evaluator
-    keeps a growing set of doomed authorizations and a set of replacement
-    issues, firing rules (a principal without a rooted chain loses her
-    outgoing authorizations; strong dominance dooms dependent grants into
-    affected grantees; local schemes re-root the target's grants at the
-    revoker) and re-deriving chains between rounds until a fixpoint is
-    reached.  The deletion set grows monotonically, so termination is bounded
-    by the authorization count.
+    The rules work on copies of the pre-state's entries, in this order:
+
+    1. Seed: the revoked grant (i, j) goes, and under SLD and SGD so does
+       every grant into j whose grantor is not independent of i (dominance).
+    2. Re-root, local schemes only, once: if j had an active chain and has
+       none left, each live grant (j, k) is reissued as (i, k), lifting a
+       block on (i, k) or upgrading a weaker kind there.  If j lost every
+       plain chain, j's grants and negatives go; where (i, k) is empty, a
+       grant (j, k) that conveyed nothing is kept as an (i, k) blocked by an
+       FF, and an FF (j, k) becomes an FF (i, k).
+    3. Until nothing changes: a grantor with no plain rooted chain loses its
+       entries, old and reissued alike (repair); under SGD, dominance repeats
+       at every grantee a deletion reached (at j alone, which the seed did,
+       under `sgd_descendant_dominance=False`).
+
+    Independence is judged on the pre-state throughout.  Each rule of the
+    loop deletes more, never less, as deletions accumulate, so the loop
+    reaches the least fixpoint whatever order it fires them in, and ends
+    within one round per authorization.
     """
     config = config or EngineConfig()
     scheme, i, j = request.scheme, request.revoker, request.target
@@ -142,166 +160,81 @@ def fixpoint_apply_delete(
         if p not in state.principals:
             raise UnknownPrincipalError(f"{p!r} is not a principal of this state")
     soa = state.soa
-    pos0 = {a.pair: a for a in state.positive}
-    neg0 = {n.pair: n for n in state.negative}
-    if (i, j) not in pos0:
+    pos = {a.pair: a for a in state.positive}
+    neg = {n.pair: n for n in state.negative}
+    if (i, j) not in pos:
         raise MissingAuthorizationError(
             f"no positive authorization from {i!r} to {j!r} to revoke"
         )
+    tt = PositiveKind.TT  # a local: enum member lookup is slow in the loops below
 
-    tt0 = frozenset(p for p, a in pos0.items() if a.kind is PositiveKind.TT)
-    blocked0 = frozenset(neg0)
-    active0 = _reachable(tt0 - blocked0, soa)
-    # independence is judged on the pre-state throughout
-    ind_reach = _reachable(tt0 - blocked0, soa, banned=frozenset({i}))
+    def rooted(blocked=(), banned: frozenset[Principal] = frozenset()) -> frozenset[Principal]:
+        """Who has a chain from the SOA over the TT entries of `pos` not in `blocked`."""
+        return _reachable(
+            (p for p, a in pos.items() if a.kind is tt and p not in blocked), soa, banned
+        )
+
+    active0, independent = rooted(neg), rooted(neg, frozenset({i}))
+    plain0 = rooted() if scheme.is_local else frozenset()
 
     def dependent(z: Principal) -> bool:
-        return z != soa and z not in ind_reach
+        return z != soa and z not in independent
 
-    dead_pos: set[Pair] = {(i, j)}
-    dead_neg: set[Pair] = set()
-    new_pos: dict[Pair, PositiveAuth] = {}
-    new_neg: dict[Pair, NegativeAuth] = {}
+    # 1. Seed.
+    del pos[(i, j)]
+    if scheme.is_strong:
+        for g in [g for g, k in pos if k == j and dependent(g)]:
+            del pos[(g, j)]
 
-    if scheme is Scheme.SLD:
-        dead_pos |= {p for p in pos0 if p[1] == j and dependent(p[0])}
-
+    # 2. Re-root.
     if scheme.is_local:
-        _rules_local(
-            state, i, j, pos0, neg0, tt0, blocked0, active0, dead_pos, dead_neg, new_pos, new_neg
-        )
-    else:
-        _rules_global(
-            scheme, config, soa, j, pos0, neg0, tt0, dependent, dead_pos, dead_neg
-        )
+        lost = j in plain0 and j not in rooted()
+        off = j in active0 and j not in rooted(neg)
+        grants = [a for p, a in pos.items() if p[0] == j]
+        blocks = [p for p in neg if p[0] == j]
+        for a in grants:
+            k = a.grantee
+            if k == i:
+                continue
+            slot, held = (i, k), pos.get((i, k))
+            if off and a.pair not in neg:
+                if slot in neg:
+                    del neg[slot]
+                elif held is not None and held.kind.covers(a.kind):
+                    continue
+                pos[slot] = PositiveAuth(i, k, a.kind)
+            elif lost and held is None:
+                pos[slot] = PositiveAuth(i, k, a.kind)
+                neg.setdefault(slot, NegativeAuth(i, k))
+        if lost:
+            for _, k in blocks:
+                if k != i and (i, k) not in pos and (i, k) not in neg:
+                    neg[(i, k)] = NegativeAuth(i, k)
+            for a in grants:
+                del pos[a.pair]
+            for p in blocks:
+                del neg[p]
 
-    # connectivity repair, iterated until nothing more falls out
+    # 3. Repair, and SGD's dominance at every grantee a deletion reached.
+    cascade = scheme is Scheme.SGD and config.sgd_descendant_dominance
+    hit = {j}
     while True:
-        # replacement issues override the stored slot, so a pre-TT pair only
-        # counts while no reissue has overwritten it
-        live_tt = frozenset(
-            p for p in tt0 if p not in dead_pos and p not in new_pos
-        ) | frozenset(p for p, a in new_pos.items() if a.kind is PositiveKind.TT)
-        keep = _reachable(live_tt, soa)
-        doom_old = [p for p in pos0 if p not in dead_pos and p[0] not in keep]
-        doom_new = [p for p in new_pos if p[0] not in keep]
-        doom_neg = [p for p in neg0 if p not in dead_neg and p[0] not in keep]
-        doom_new_neg = [p for p in new_neg if p[0] not in keep]
-        if not (doom_old or doom_new or doom_neg or doom_new_neg):
+        keep = rooted()
+        doomed = [
+            p for p in pos
+            if p[0] not in keep or (cascade and p[1] in hit and dependent(p[0]))
+        ]
+        unrooted = [p for p in neg if p[0] not in keep]
+        if not doomed and not unrooted:
             break
-        dead_pos.update(doom_old)
-        dead_neg.update(doom_neg)
-        for p in doom_new:
-            del new_pos[p]
-        for p in doom_new_neg:
-            del new_neg[p]
-
-    positive = [a for p, a in pos0.items() if p not in dead_pos and p not in new_pos]
-    positive.extend(new_pos.values())
-    negative = [n for p, n in neg0.items() if p not in dead_neg]
-    negative.extend(new_neg.values())
+        for p in doomed:
+            del pos[p]
+            hit.add(p[1])
+        for p in unrooted:
+            del neg[p]
     return state.replace_authorizations(
-        positive=positive, negative=negative, time=state.time + 1
+        positive=pos.values(), negative=neg.values(), time=state.time + 1
     )
-
-
-def _rules_local(
-    state: AuthorizationState,
-    i: Principal,
-    j: Principal,
-    pos0: dict[Pair, PositiveAuth],
-    neg0: dict[Pair, NegativeAuth],
-    tt0: frozenset[Pair],
-    blocked0: frozenset[Pair],
-    active0: frozenset[Principal],
-    dead_pos: set[Pair],
-    dead_neg: set[Pair],
-    new_pos: dict[Pair, PositiveAuth],
-    new_neg: dict[Pair, NegativeAuth],
-) -> None:
-    soa = state.soa
-    tt_now = frozenset(p for p in tt0 if p not in dead_pos)
-    lost = j in _reachable(tt0, soa) and j not in _reachable(tt_now, soa)
-    removed_ff_out: list[Pair] = []
-    if lost:
-        dead_pos.update(p for p in pos0 if p[0] == j)
-        removed_ff_out = sorted(p for p in neg0 if p[0] == j)
-        dead_neg.update(removed_ff_out)
-
-    tt_now = frozenset(p for p in tt0 if p not in dead_pos)
-    active_now = _reachable(tt_now - (blocked0 - dead_neg), soa)
-
-    def occupied(slot: Pair) -> PositiveAuth | None:
-        if slot in new_pos:
-            return new_pos[slot]
-        current = pos0.get(slot)
-        return None if current is None or slot in dead_pos else current
-
-    for pair in sorted(pos0):
-        grantor, k = pair
-        if grantor != j or k == i:
-            continue
-        auth = pos0[pair]
-        live_before = j in active0 and pair not in blocked0
-        gone = pair in dead_pos
-        slot = (i, k)
-        if live_before and (gone or j not in active_now):
-            if slot in blocked0 and slot not in dead_neg:
-                # lifting the block replaces the slot content outright
-                dead_neg.add(slot)
-                new_pos[slot] = PositiveAuth(i, k, auth.kind)
-            else:
-                held = occupied(slot)
-                if held is None or auth.kind.strength > held.kind.strength:
-                    new_pos[slot] = PositiveAuth(i, k, auth.kind)
-        elif gone and not live_before and occupied(slot) is None:
-            new_pos[slot] = PositiveAuth(i, k, auth.kind)
-            if slot not in blocked0 or slot in dead_neg:
-                new_neg[slot] = NegativeAuth(i, k)
-
-    for pair in removed_ff_out:
-        slot = (i, pair[1])
-        if pair[1] == i or occupied(slot) is not None:
-            continue
-        if (slot in blocked0 and slot not in dead_neg) or slot in new_neg:
-            continue
-        new_neg[slot] = NegativeAuth(*slot)
-
-
-def _rules_global(
-    scheme: Scheme,
-    config: EngineConfig,
-    soa: Principal,
-    j: Principal,
-    pos0: dict[Pair, PositiveAuth],
-    neg0: dict[Pair, NegativeAuth],
-    tt0: frozenset[Pair],
-    dependent,
-    dead_pos: set[Pair],
-    dead_neg: set[Pair],
-) -> None:
-    hit_grantees: set[Principal] = {j}
-    while True:
-        grew = False
-        keep = _reachable(frozenset(p for p in tt0 if p not in dead_pos), soa)
-        fall_pos = {p for p in pos0 if p not in dead_pos and p[0] not in keep}
-        fall_neg = {p for p in neg0 if p not in dead_neg and p[0] not in keep}
-        if fall_pos or fall_neg:
-            grew = True
-            dead_pos |= fall_pos
-            dead_neg |= fall_neg
-            hit_grantees |= {p[1] for p in fall_pos}
-        if scheme is Scheme.SGD:
-            targets = hit_grantees if config.sgd_descendant_dominance else {j}
-            dominated = {
-                p for p in pos0 if p not in dead_pos and p[1] in targets and dependent(p[0])
-            }
-            if dominated:
-                grew = True
-                dead_pos |= dominated
-                hit_grantees |= {p[1] for p in dominated}
-        if not grew:
-            return
 
 
 def compare_engines(

@@ -5,8 +5,11 @@ Jackson's small-scope hypothesis (*Software Abstractions*, 2006): check
 everything up to a small bound rather than samples.  The states are those
 over {a, b, c} with SOA a; each of the six ordered pairs holds no positive,
 a TF or a TT, each with or without an FF.  The schemes run on the connected
-ones, whose every grantor has a plain rooted chain.  Swapping b and c maps such a state to another one and every
-result to the swapped result, so one state of each swapped pair is checked.
+ones, whose every grantor has a plain rooted chain: the delete schemes
+against the reference under both `sgd_descendant_dominance` values, and
+every refused request must leave its pre-state as it was.  Swapping b and c
+maps such a state to another one and every result to the swapped result, so
+one state of each swapped pair is checked.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from typing import Iterator
 from authgraph import (
     AuthorizationState,
     DuplicateNegativeError,
+    EngineConfig,
     NegativeAuth,
     PositiveAuth,
     PositiveKind,
     RevocationRequest,
     Scheme,
     apply_scheme,
+    compare_engines,
     enumerate_chains,
     fixpoint_apply_delete,
     has_access_right,
@@ -80,17 +85,20 @@ def connected() -> list[tuple[tuple[int, ...], AuthorizationState, int]]:
     return out
 
 
-def run(state: AuthorizationState) -> list:
-    """Every scheme on every positive pair of `state`, in one order: the
-    request, and the post-state, delta and, after a negative scheme, the
-    state its undo gives, or None where the engine refused."""
+def run(state: AuthorizationState, spec: tuple[int, ...]) -> list:
+    """Every scheme on every positive pair of `state`, the state `spec`
+    builds, in one order: the request, and the post-state, delta and, after a
+    negative scheme, the state its undo gives.  Where the engine refused, the
+    request and whether the pre-state's maps are still those `build(spec)`
+    gives: a refused operation changes nothing."""
+    pristine = build(spec)
     out = []
     for pair, scheme in product(sorted(state.positive_by_pair), Scheme):
         request = RevocationRequest(scheme, *pair)
         try:
             post, delta = apply_scheme(state, request)
         except DuplicateNegativeError:
-            out.append((request, None))
+            out.append((request, same_maps(state, pristine)))
             continue
         back = None if scheme.is_delete else undo_negative(post, *pair)[0]
         out.append((request, (post, delta, back)))
@@ -111,20 +119,24 @@ def test_every_scheme_on_every_3_principal_state_connectivity_except_wln_sln():
     assert sum(weight for _, _, weight in states) == 12_496  # every connected state
     differences, applications, refusals = [], 0, 0
     for spec, state, weight in states:
-        copied = run(state)
+        copied = run(state, spec)
         with _cuts(shared=True):  # the same runs over shared maps
             start = build(spec)
             assert type(start.positive_by_pair) is PairMap
-            shared = run(start)
+            shared = run(start, spec)
         assert [request for request, _ in shared] == [request for request, _ in copied]
         for (request, result), (_, other) in zip(copied, shared):
             where = (spec, request.scheme.name, request.revoker, request.target)
-            if result is None:
+            if type(result) is bool:  # refused
                 refusals += weight
                 if request.scheme.is_delete or (request.revoker, request.target) not in state.negative_by_pair:
                     differences.append((where, "refused"))
-                if other is not None:
+                if not result:
+                    differences.append((where, "a refusal changed the pre-state"))
+                if type(other) is not bool:
                     differences.append((where, "shared maps did not refuse"))
+                elif not other:
+                    differences.append((where, "a refusal changed the shared pre-state"))
                 continue
             applications += weight
             post, delta, back = result
@@ -134,12 +146,26 @@ def test_every_scheme_on_every_3_principal_state_connectivity_except_wln_sln():
                 differences.append((where, "undo does not give the pre-state"))
             if request.scheme not in CONNECTIVITY_OPEN and validate_connectivity(post):
                 differences.append((where, "connectivity"))
-            if other is None or not same_maps(other[0], post) or other[1] != delta:
+            if type(other) is bool or not same_maps(other[0], post) or other[1] != delta:
                 differences.append((where, "shared maps differ"))
             elif back is not None and not same_maps(other[2], back):
                 differences.append((where, "undo over shared maps differs"))
     assert not differences, (len(differences), differences[:10])
     assert (applications, refusals) == (338_016, 112_672), (applications, refusals)
+
+
+def test_sgd_variant_on_every_connected_3_principal_state_matches_the_reference():
+    # Under `sgd_descendant_dominance=False`, SGD dominates at j alone.
+    config = EngineConfig(sgd_descendant_dominance=False)
+    differences, applications = [], 0
+    for spec, state, weight in connected():
+        for pair in sorted(state.positive_by_pair):
+            applications += weight
+            report = compare_engines(state, RevocationRequest(Scheme.SGD, *pair), config)
+            if report is not None:
+                differences.append((spec, report))
+    assert not differences, (len(differences), differences[:10])
+    assert applications == 56_336
 
 
 def test_queries_on_every_3_principal_state_match_its_chains():

@@ -139,6 +139,19 @@ class TestStateValidation:
         with pytest.raises(ModelError, match="^state: principal ids must be non-empty strings$"):
             AuthorizationState(soa="A", principals=frozenset({"A", ""}), positive=(), negative=())
 
+    @pytest.mark.parametrize("principals", ["ABC", ["A", "B", "C", "C"], {"A", "B", "C"}], ids=["str", "list", "set"])
+    def test_principals_must_be_a_frozenset(self, principals):
+        # in a str, "BC" would be a principal by substring, and no writer knows it
+        with pytest.raises(ModelError, match="^state: principals must be a frozenset, not "):
+            AuthorizationState("A", principals, (PositiveAuth("A", "B", PositiveKind.TT),), ())
+
+    def test_each_entry_must_have_its_maps_type(self):
+        tt = PositiveAuth("A", "B", PositiveKind.TT)
+        with pytest.raises(ModelError, match=r"^positive\[1\]: expected a PositiveAuth, not NegativeAuth$"):
+            AuthorizationState("A", frozenset("ABC"), (tt, NegativeAuth("A", "C")), ())
+        with pytest.raises(ModelError, match=r"^negative\[0\]: expected a NegativeAuth, not PositiveAuth$"):
+            AuthorizationState("A", frozenset("ABC"), (tt,), (PositiveAuth("A", "C", PositiveKind.TF),))
+
     def test_empty_endpoint_rejected(self):
         with pytest.raises(ModelError, match="^principal ids must be non-empty$"):
             PositiveAuth("", "B", PositiveKind.TT)

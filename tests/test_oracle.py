@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,7 @@ from authgraph import (
     new_state,
     states_equal,
 )
+from authgraph import oracle
 from authgraph.oracle import ENUMERATION_LIMIT
 
 import generators
@@ -184,6 +190,34 @@ class TestCompareEngines:
             assert states_equal(reference, apply_scheme(state, request)[0])
             assert len(reference.positive) == edges
 
+    def test_agreement_at_a_thousand_principals(self):
+        # The benchmark's large make-up, built as `bench/gen.py` builds it:
+        # at 10^3 principals both maps are shared, as in the scaling series.
+        # Two unblocked edges at random, and two that are their target's
+        # only live TT grant, so that j loses its chain and the local
+        # schemes re-root.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        try:
+            gen = importlib.import_module("gen")
+        finally:
+            del sys.path[0]
+        rng = random.Random(18)
+        graph = gen.standard_graph(rng, 1000)
+        state = gen.to_state(graph)
+        targets = gen.targets(graph)
+        tt_in = Counter(e for (g, e), kind in graph.pos.items() if kind == "TT" and (g, e) not in graph.neg)
+        sole = [pair for pair in targets if graph.pos[pair] == "TT" and tt_in[pair[1]] == 1]
+        changed = []
+        for pair in rng.sample(targets, 2) + rng.sample(sole, 2):
+            for flag in (True, False):
+                config = EngineConfig(sgd_descendant_dominance=flag)
+                for scheme in DELETES:
+                    request = RevocationRequest(scheme, *pair)
+                    assert compare_engines(state, request, config) is None, (pair, scheme, flag)
+                    post = fixpoint_apply_delete(state, request, config)
+                    changed.append(len(set(state.positive) ^ set(post.positive)))
+        assert max(changed) > 1  # more than the revoked grant
+
     def test_agreement_when_a_reissue_downgrades_a_chain_slot(self):
         # the overwritten TT must stop counting toward reachability in the
         # reference's purge, exactly as it does in the engine's
@@ -214,3 +248,50 @@ class TestCompareEngines:
         monkeypatch.setattr("authgraph.oracle.apply_scheme", refuses)
         report = compare_engines(revocation_base, RevocationRequest(Scheme.WGD, "A", "B"))
         assert report is not None and "error category mismatch" in report
+
+
+# What the reference must not read: the engine's own traversal and
+# transition code, and the indexes a state derives.
+DERIVED_INDEXES = frozenset(
+    {"plain_reach", "active_reach", "chain_children", "incoming", "outgoing", "orphans"}
+)
+
+
+def engine_reads(source: str) -> list[str]:
+    """What `source` imports from `semantics`, imports by an underscore name
+    from `model` or `revocation`, or reads of a state's derived indexes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = [alias.name for alias in node.names]
+            for name in [module, *names]:
+                if "semantics" in name.split("."):
+                    found.append(f"imports {name}")
+            if module.split(".")[-1] in ("model", "revocation"):
+                found.extend(f"imports {module}.{n}" for n in names if n.startswith("_"))
+        elif isinstance(node, ast.Attribute) and node.attr in DERIVED_INDEXES:
+            found.append(f"reads .{node.attr}")
+        elif isinstance(node, ast.Constant) and node.value in DERIVED_INDEXES:
+            found.append(f"names {node.value!r}")
+    return found
+
+
+def test_the_reference_reads_no_engine_internals():
+    assert engine_reads(Path(oracle.__file__).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .semantics import has_access_right",
+        "from . import semantics",
+        "import authgraph.semantics",
+        "from .model import AuthorizationState, _bfs",
+        "from authgraph.revocation import _repair",
+        "def f(state):\n    return state.plain_reach",
+        "def f(state):\n    return getattr(state, 'incoming')",
+    ],
+)
+def test_the_independence_check_sees_an_engine_read(source):
+    assert engine_reads(source)

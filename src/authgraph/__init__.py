@@ -6,130 +6,86 @@ further.  Negative authorizations block individual grants without deleting
 them.  Eight revocation schemes cover every combination of local/global
 propagation, weak/strong dominance and delete/negative resilience; negative
 revocations are labelled and can be undone.
+
+Every public name below is resolved on first use, by importing the module
+that defines it: `import authgraph` loads no submodule, and a command loads
+only the modules it runs.
 """
 
-from .errors import (
-    AuthGraphError,
-    DowngradeError,
-    DuplicateNegativeError,
-    EnumerationLimitError,
-    InactiveGrantorError,
-    MissingAuthorizationError,
-    ModelError,
-    NothingToUndoError,
-    ParseError,
-    PreconditionError,
-    SelfOperationError,
-    UnknownPrincipalError,
-)
-from .io import export_dot, parse_state, parse_trace, serialize_state
-from .model import (
-    AuthorizationState,
-    EngineConfig,
-    GrantOp,
-    NegativeAuth,
-    NegativeOp,
-    Operation,
-    PositiveAuth,
-    PositiveKind,
-    Principal,
-    RevocationDelta,
-    RevocationLabel,
-    RevocationRequest,
-    RevokeOp,
-    Scheme,
-    Timeline,
-    TimelineStep,
-    UndoOp,
-    new_state,
-    states_equal,
-)
-from .revocation import (
-    apply_operation,
-    apply_scheme,
-    apply_step,
-    grant,
-    issue_negative,
-    undo_negative,
-)
-from .semantics import (
-    ConnectivityViolation,
-    active_chain_exists,
-    has_access_right,
-    has_delegation_right,
-    is_auth_active,
-    is_independent,
-    rooted_chain_exists,
-    validate_connectivity,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The reference evaluator, which no command uses, is imported on first use.
-_ORACLE = frozenset({"check_equivalence", "compare_engines", "enumerate_chains", "fixpoint_apply_delete"})
+# By module, the public names it defines.
+_EXPORTS = {
+    "errors": (
+        "AuthGraphError",
+        "DowngradeError",
+        "DuplicateNegativeError",
+        "EnumerationLimitError",
+        "InactiveGrantorError",
+        "MissingAuthorizationError",
+        "ModelError",
+        "NothingToUndoError",
+        "ParseError",
+        "PreconditionError",
+        "SelfOperationError",
+        "UnknownPrincipalError",
+    ),
+    "io": ("export_dot", "parse_state", "parse_trace", "serialize_state"),
+    "model": (
+        "AuthorizationState",
+        "GrantOp",
+        "NegativeAuth",
+        "NegativeOp",
+        "Operation",
+        "PositiveAuth",
+        "PositiveKind",
+        "Principal",
+        "RevocationDelta",
+        "RevocationLabel",
+        "RevokeOp",
+        "Scheme",
+        "UndoOp",
+        "new_state",
+        "states_equal",
+    ),
+    "revocation": (
+        "EngineConfig",
+        "RevocationRequest",
+        "Timeline",
+        "TimelineStep",
+        "apply_operation",
+        "apply_scheme",
+        "apply_step",
+        "grant",
+        "issue_negative",
+        "undo_negative",
+    ),
+    "semantics": (
+        "ConnectivityViolation",
+        "active_chain_exists",
+        "has_access_right",
+        "has_delegation_right",
+        "is_auth_active",
+        "is_independent",
+        "rooted_chain_exists",
+        "validate_connectivity",
+    ),
+    "oracle": ("check_equivalence", "compare_engines", "enumerate_chains", "fixpoint_apply_delete"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name not in _ORACLE:
+    module = _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
-
-    value = globals()[name] = getattr(oracle, name)
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
     return value
 
 
-__all__ = [
-    "AuthGraphError",
-    "AuthorizationState",
-    "ConnectivityViolation",
-    "DowngradeError",
-    "DuplicateNegativeError",
-    "EngineConfig",
-    "EnumerationLimitError",
-    "GrantOp",
-    "InactiveGrantorError",
-    "MissingAuthorizationError",
-    "ModelError",
-    "NegativeAuth",
-    "NegativeOp",
-    "NothingToUndoError",
-    "Operation",
-    "ParseError",
-    "PositiveAuth",
-    "PositiveKind",
-    "PreconditionError",
-    "Principal",
-    "RevocationDelta",
-    "RevocationLabel",
-    "RevocationRequest",
-    "RevokeOp",
-    "Scheme",
-    "SelfOperationError",
-    "Timeline",
-    "TimelineStep",
-    "UndoOp",
-    "UnknownPrincipalError",
-    "active_chain_exists",
-    "apply_operation",
-    "apply_scheme",
-    "apply_step",
-    "check_equivalence",
-    "compare_engines",
-    "enumerate_chains",
-    "export_dot",
-    "fixpoint_apply_delete",
-    "grant",
-    "has_access_right",
-    "has_delegation_right",
-    "is_auth_active",
-    "is_independent",
-    "issue_negative",
-    "new_state",
-    "parse_state",
-    "parse_trace",
-    "rooted_chain_exists",
-    "serialize_state",
-    "states_equal",
-    "undo_negative",
-    "validate_connectivity",
-]
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -5,6 +5,8 @@ parse error (including bad command-line usage), 3 operation precondition
 failure, 4 internal error.  Result documents go to `-o` (default stdout);
 diagnostics and step summaries go to stderr.  Output files are written via
 temp-and-rename so a failed run never leaves a half-written state behind.
+A command imports only the modules it runs: `export` never loads the engine
+(`revocation`) or the rights queries (`semantics`).
 """
 
 from __future__ import annotations
@@ -19,19 +21,7 @@ from typing import Sequence
 
 from .errors import AuthGraphError, ModelError, ParseError, PreconditionError, UnknownPrincipalError
 from .io import export_dot, parse_state, parse_trace, serialize_state
-from .model import (
-    EngineConfig,
-    GrantOp,
-    NegativeOp,
-    Operation,
-    PositiveKind,
-    RevocationDelta,
-    RevokeOp,
-    Scheme,
-    UndoOp,
-)
-from .revocation import apply_step
-from .semantics import has_access_right, has_delegation_right, validate_connectivity
+from .model import GrantOp, NegativeOp, Operation, PositiveKind, RevocationDelta, RevokeOp, Scheme, UndoOp
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -170,10 +160,14 @@ def _operation(args: argparse.Namespace) -> Operation:
 
 def _run(args: argparse.Namespace) -> int:
     state = parse_state(_read_text(args.state))
-    # What is alive now, the modules and the parsed state, the cyclic
-    # collector need not walk again in a process this short.
+    # What is alive now, the parsed state and the modules loaded so far,
+    # the cyclic collector need not walk again in a process this short.
     gc.freeze()
+    # Each command imports the modules it runs, and no others: a run of a
+    # few hundred principals costs more in start-up than in work.
     if args.command == "check":
+        from .semantics import validate_connectivity
+
         violations = validate_connectivity(state)
         if violations:
             for violation in violations:
@@ -183,6 +177,8 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "rights":
+        from .semantics import has_access_right, has_delegation_right
+
         access = has_access_right(state, args.principal)
         delegation = has_delegation_right(state, args.principal)
         print(f"access={str(access).lower()} delegation={str(delegation).lower()}")
@@ -191,6 +187,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "export":
         _write_output(export_dot(state), args.output)
         return EXIT_OK
+
+    from .revocation import EngineConfig, apply_step
 
     config = EngineConfig(sgd_descendant_dominance=not getattr(args, "sgd_variant", False))
     if args.command == "trace":

@@ -351,32 +351,40 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _edge_attributes(kind: PositiveKind) -> tuple[str, str]:
+    """A positive edge's attributes, solid and dashed."""
+    label = f"label={_dot_quote(kind.name)}"
+    return label, label + ", style=dashed"
+
+
+# Picked per edge by an identity test, not a dict lookup: an enum member's
+# hash is a Python-level call.
+_TT = PositiveKind.TT
+_TT_EDGE, _TF_EDGE = _edge_attributes(PositiveKind.TT), _edge_attributes(PositiveKind.TF)
+
+
 def export_dot(state: AuthorizationState) -> str:
     """Render the state as a DOT digraph.
 
     Positive edges carry their kind as label and are dashed when inactive;
     negative edges are labelled FF; the SOA gets a double border.  Output
     ordering is deterministic: nodes sorted, then positive edges, then
-    negative edges, each sorted by endpoints.
+    negative edges, each sorted by endpoints.  Each principal's name is
+    quoted once.
     """
     active = state.active_reach
     blocked = state.negative_by_pair.current()
+    soa = state.soa
+    quoted = {p: _dot_quote(p) for p in sorted(state.principals)}
     lines = ["digraph authorization {", "  rankdir=LR;"]
-    for p in sorted(state.principals):
-        attrs = " [peripheries=2]" if p == state.soa else ""
-        lines.append(f"  {_dot_quote(p)}{attrs};")
+    lines.extend(f"  {name} [peripheries=2];" if p == soa else f"  {name};" for p, name in quoted.items())
     for auth in state.positive:
-        attrs = f"label={_dot_quote(auth.kind.name)}"
-        if auth.grantor not in active or (auth.grantor, auth.grantee) in blocked:
-            attrs += ", style=dashed"
-        lines.append(
-            f"  {_dot_quote(auth.grantor)} -> {_dot_quote(auth.grantee)} [{attrs}];"
-        )
+        grantor, grantee = auth.grantor, auth.grantee
+        dashed = grantor not in active or (grantor, grantee) in blocked
+        attrs = (_TT_EDGE if auth.kind is _TT else _TF_EDGE)[dashed]
+        lines.append(f"  {quoted[grantor]} -> {quoted[grantee]} [{attrs}];")
     for auth in state.negative:
-        lines.append(
-            f"  {_dot_quote(auth.grantor)} -> {_dot_quote(auth.grantee)} "
-            f'[label="FF"];'
-        )
+        lines.append(f'  {quoted[auth.grantor]} -> {quoted[auth.grantee]} [label="FF"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -104,12 +104,12 @@ drops it; a pickled state carries none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Collection, Iterable, Iterator, Mapping
 
-from .errors import ModelError
+from .errors import ModelError, UnknownPrincipalError
 
 
 class cached_property:
@@ -968,6 +968,23 @@ def _bfs(
     return parent
 
 
+def _require_principals(state: AuthorizationState, *principals: Principal) -> None:
+    for p in principals:
+        if p not in state.principals:
+            raise UnknownPrincipalError(f"{p!r} is not a principal of this state")
+
+
+def _dependents(state: AuthorizationState, i: Principal) -> set[Principal]:
+    """Active principals other than the SOA whose every active chain runs
+    through i, i included: what `_recheck` finds lost with i excised."""
+    if i == state.soa:
+        # Needed, not a shortcut: the recheck below would excise the SOA and
+        # count it among the lost, and strong dominance would kill its grants.
+        return state.active_reach.keys() - {i}
+    positive, negative = state.positive_by_pair.current(), state.negative_by_pair.current()
+    return _recheck(state, positive, negative, (), True, i)[0]
+
+
 def _recheck(
     state: AuthorizationState,
     pos: Mapping[tuple[Principal, Principal], PositiveAuth],
@@ -1108,33 +1125,6 @@ def states_equal(a: AuthorizationState, b: AuthorizationState) -> bool:
 
 
 @dataclass(frozen=True)
-class RevocationRequest:
-    """A revocation of scheme `scheme` by `revoker` against `target`."""
-
-    scheme: Scheme
-    revoker: Principal
-    target: Principal
-
-    def __post_init__(self) -> None:
-        _check_pair(self.revoker, self.target)
-        if type(self.scheme) is not Scheme:
-            raise ModelError(f"revocation scheme must be a Scheme, not {self.scheme!r}")
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Behaviour switches shared by the engine and the oracle.
-
-    sgd_descendant_dominance selects how the strong global schemes treat
-    dominated edges: True applies the dominance rule at every principal the
-    cascade reaches (the full descendant rule), False restricts it to the
-    revocation target, turning SGD into WGD-plus-SLD's-target-rule.
-    """
-
-    sgd_descendant_dominance: bool = True
-
-
-@dataclass(frozen=True)
 class RevocationDelta:
     """Exact difference an operation made, as removed and added authorizations.
 
@@ -1155,7 +1145,7 @@ class RevocationDelta:
             raise ModelError("delta issues and deletes the same negative value")
 
 
-# Operation records, used by timelines and trace files.
+# Operation records, as trace files name them.
 
 
 @dataclass(frozen=True)
@@ -1187,31 +1177,8 @@ class UndoOp:
 Operation = GrantOp | NegativeOp | RevokeOp | UndoOp
 
 
-@dataclass(frozen=True)
-class TimelineStep:
-    operation: Operation
-    delta: RevocationDelta
-    state: AuthorizationState
-
-
-@dataclass(frozen=True)
-class Timeline:
-    """An initial state plus the ordered operations applied to it."""
-
-    initial: AuthorizationState
-    steps: tuple[TimelineStep, ...] = ()
-
-    @property
-    def current(self) -> AuthorizationState:
-        return self.steps[-1].state if self.steps else self.initial
-
-    def extended(self, step: TimelineStep) -> "Timeline":
-        return replace(self, steps=self.steps + (step,))
-
-
 __all__ = [
     "AuthorizationState",
-    "EngineConfig",
     "GrantOp",
     "NegativeAuth",
     "NegativeOp",
@@ -1221,11 +1188,8 @@ __all__ = [
     "Principal",
     "RevocationDelta",
     "RevocationLabel",
-    "RevocationRequest",
     "RevokeOp",
     "Scheme",
-    "Timeline",
-    "TimelineStep",
     "UndoOp",
     "new_state",
     "states_equal",

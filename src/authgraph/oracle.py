@@ -11,7 +11,8 @@ with no plain rooted chain loses its entries, old and reissued) and, under
 SGD, dominance at every grantee a deletion reached, until nothing changes.
 
 The only vocabulary shared with the engine is the data model's value types
-and errors; none of the engine's indexes, traversal or transition code is
+and errors, and the request and configuration records both take (defined in
+`revocation`); none of the engine's indexes, traversal or transition code is
 read (`tests/test_oracle.py` checks that).  `check_equivalence` is the
 single place where both implementations are invoked side by side.
 """
@@ -29,16 +30,14 @@ from .errors import (
 )
 from .model import (
     AuthorizationState,
-    EngineConfig,
     NegativeAuth,
     PositiveAuth,
     PositiveKind,
     Principal,
-    RevocationRequest,
     Scheme,
     states_equal,
 )
-from .revocation import apply_scheme
+from .revocation import EngineConfig, RevocationRequest, apply_scheme
 
 Pair = tuple[Principal, Principal]
 

@@ -9,7 +9,7 @@ below, and `apply_scheme` composes them into all eight schemes:
   selects this axis.
 * Dominance, `_dominate`: strong schemes also kill the grants into a target
   issued by principals whose every active chain runs through the revoker i
-  (`semantics._dependents`: the active reach lost when i is excised, which
+  (`model._dependents`: the active reach lost when i is excised, which
   also decides `is_independent` when i lies on j's tree path); weak schemes
   leave other grantors' edges alone.  The grantors of a target come from the
   pre-state's `incoming`, which holds principals, not entries.
@@ -65,7 +65,7 @@ Design notes that the code below relies on:
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .errors import (
@@ -73,12 +73,12 @@ from .errors import (
     DuplicateNegativeError,
     InactiveGrantorError,
     MissingAuthorizationError,
+    ModelError,
     NothingToUndoError,
     SelfOperationError,
 )
 from .model import (
     AuthorizationState,
-    EngineConfig,
     GrantOp,
     NegativeAuth,
     NegativeOp,
@@ -88,19 +88,56 @@ from .model import (
     Principal,
     RevocationDelta,
     RevocationLabel,
-    RevocationRequest,
     RevokeOp,
-    Timeline,
-    TimelineStep,
+    Scheme,
     UndoOp,
+    _check_pair,
+    _dependents,
     _recheck,
+    _require_principals,
     _Working,
 )
-from .semantics import _dependents, _require_principals
 
 Pair = tuple[Principal, Principal]
 # An operation's working map: an overlay, or a copy that offers the same (see `model`).
 PosMap = NegMap = _Working
+
+
+@dataclass(frozen=True)
+class RevocationRequest:
+    """A revocation of scheme `scheme` by `revoker` against `target`."""
+
+    scheme: Scheme
+    revoker: Principal
+    target: Principal
+
+    def __post_init__(self) -> None:
+        _check_pair(self.revoker, self.target)
+        if type(self.scheme) is not Scheme:
+            raise ModelError(f"revocation scheme must be a Scheme, not {self.scheme!r}")
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Behaviour switches shared by the engine and the oracle.
+
+    sgd_descendant_dominance selects how the strong global schemes treat
+    dominated edges: True applies the dominance rule at every principal the
+    cascade reaches (the full descendant rule), False restricts it to the
+    revocation target, turning SGD into WGD-plus-SLD's-target-rule.  It
+    must be a bool: both read it by truth value, so the string "false"
+    would select the full rule.
+    """
+
+    sgd_descendant_dominance: bool = True
+
+    def __post_init__(self) -> None:
+        if type(self.sgd_descendant_dominance) is not bool:
+            raise ModelError(
+                f"sgd_descendant_dominance must be a bool, not {self.sgd_descendant_dominance!r}"
+            )
+
+
 _DEFAULT_CONFIG = EngineConfig()
 
 
@@ -449,6 +486,28 @@ def undo_negative(
 # Timelines.
 
 
+@dataclass(frozen=True)
+class TimelineStep:
+    operation: Operation
+    delta: RevocationDelta
+    state: AuthorizationState
+
+
+@dataclass(frozen=True)
+class Timeline:
+    """An initial state plus the ordered operations applied to it."""
+
+    initial: AuthorizationState
+    steps: tuple[TimelineStep, ...] = ()
+
+    @property
+    def current(self) -> AuthorizationState:
+        return self.steps[-1].state if self.steps else self.initial
+
+    def extended(self, step: TimelineStep) -> "Timeline":
+        return replace(self, steps=self.steps + (step,))
+
+
 def apply_step(
     state: AuthorizationState, operation: Operation, config: EngineConfig | None = None
 ) -> tuple[AuthorizationState, RevocationDelta]:
@@ -474,6 +533,10 @@ def apply_operation(
 
 
 __all__ = [
+    "EngineConfig",
+    "RevocationRequest",
+    "Timeline",
+    "TimelineStep",
     "apply_operation",
     "apply_scheme",
     "apply_step",

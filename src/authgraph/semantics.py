@@ -12,18 +12,18 @@ state: by a breadth-first pass over its TT-successor index, or patched from
 its pre-state's map by rechecking only the tree subtrees the operation cut.
 Access then needs only the grantee's grantors, and edge activity a dict
 lookup.  Independence walks j's parent chain: a chain that avoids i
-answers it at once.  When i lies on that chain, `_dependents` decides, the
-same excision the strong schemes use: `model._recheck` with i excised marks
-i's subtree and re-admits what a live edge from outside it still reaches,
-so the cost follows i's subtree, not the graph.
+answers it at once.  When i lies on that chain, `model._dependents` decides,
+the same excision the strong schemes use: `model._recheck` with i excised
+marks i's subtree and re-admits what a live edge from outside it still
+reaches, so the cost follows i's subtree, not the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MissingAuthorizationError, UnknownPrincipalError
-from .model import AuthorizationState, Principal, _recheck
+from .errors import MissingAuthorizationError
+from .model import AuthorizationState, Principal, _dependents, _require_principals
 
 
 def reachable_plain(state: AuthorizationState) -> frozenset[Principal]:
@@ -34,12 +34,6 @@ def reachable_plain(state: AuthorizationState) -> frozenset[Principal]:
 def reachable_active(state: AuthorizationState) -> frozenset[Principal]:
     """Principals with an active rooted delegation chain."""
     return frozenset(state.active_reach)
-
-
-def _require_principals(state: AuthorizationState, *principals: Principal) -> None:
-    for p in principals:
-        if p not in state.principals:
-            raise UnknownPrincipalError(f"{p!r} is not a principal of this state")
 
 
 def rooted_chain_exists(state: AuthorizationState, p: Principal) -> bool:
@@ -90,17 +84,6 @@ def is_independent(state: AuthorizationState, j: Principal, i: Principal) -> boo
             return j not in _dependents(state, i)
         p = reach[p]
     return True
-
-
-def _dependents(state: AuthorizationState, i: Principal) -> set[Principal]:
-    """Active principals other than the SOA whose every active chain runs
-    through i, i included."""
-    if i == state.soa:
-        # Needed, not a shortcut: the recheck below would excise the SOA and
-        # count it among the lost, and strong dominance would kill its grants.
-        return state.active_reach.keys() - {i}
-    positive, negative = state.positive_by_pair.current(), state.negative_by_pair.current()
-    return _recheck(state, positive, negative, (), True, i)[0]
 
 
 def is_auth_active(

@@ -445,3 +445,61 @@ class TestModuleInvocation:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
         assert proc.returncode == 0, proc.stderr
+
+
+# Run in a fresh interpreter: the command's exit code, then the package's
+# modules it loaded, as the installed `authgraph` script would.
+LOADED_BY = """
+import json, sys
+from authgraph.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "authgraph")]))
+"""
+STARTUP = {"authgraph", "authgraph.cli", "authgraph.errors", "authgraph.io", "authgraph.model"}
+
+
+class TestModulesLoaded:
+    @staticmethod
+    def loaded(fixtures_dir, argv):
+        argv = [path(fixtures_dir, arg) if arg.endswith(".json") else arg for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_BY, *argv], capture_output=True, text=True, check=False
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == EXIT_OK, proc.stderr
+        return set(modules)
+
+    def test_export_loads_no_engine(self, fixtures_dir, tmp_path):
+        argv = ["export", "revocation_base.json", "-o", str(tmp_path / "out.dot")]
+        assert self.loaded(fixtures_dir, argv) == STARTUP
+
+    @pytest.mark.parametrize(
+        "argv", [["check", "rights_basic.json"], ["rights", "rights_basic.json", "C"]], ids=["check", "rights"]
+    )
+    def test_queries_load_semantics(self, fixtures_dir, argv):
+        assert self.loaded(fixtures_dir, argv) == STARTUP | {"authgraph.semantics"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "empty_six.json", "build_and_wld.trace.json"],
+            ["apply", "revocation_base.json", "--scheme", "SGD", "--from", "A", "--to", "B"],
+            ["grant", "revocation_base.json", "--from", "A", "--to", "F", "--kind", "TT"],
+            ["negative", "revocation_base.json", "--from", "A", "--to", "F"],
+            ["undo", "after_wln.json", "--from", "A", "--to", "B"],
+        ],
+        ids=["trace", "apply", "grant", "negative", "undo"],
+    )
+    def test_operations_load_the_engine_only(self, fixtures_dir, tmp_path, argv):
+        argv = [*argv, "-o", str(tmp_path / "out.json")]
+        assert self.loaded(fixtures_dir, argv) == STARTUP | {"authgraph.revocation"}
+
+    def test_the_package_alone_loads_no_submodule(self):
+        code = (
+            "import sys, authgraph\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'authgraph'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['authgraph']\n"

@@ -483,8 +483,28 @@ class TestExportDot:
         )
 
     def test_quoting(self):
-        state = new_state('Root "R"', ['Root "R"', "back\\slash"])
-        state, _ = grant(state, 'Root "R"', "back\\slash", PositiveKind.TF)
-        text = export_dot(state)
-        assert '"Root \\"R\\"" [peripheries=2];' in text
-        assert '"Root \\"R\\"" -> "back\\\\slash" [label="TF"];' in text
+        # Quoted and backslashed names on a dashed TT, a solid TF, a dashed
+        # TF and an FF edge.
+        root, back, mixed = 'Root "R"', "back\\slash", 'c"\\d'
+        state = AuthorizationState(
+            soa=root,
+            principals=frozenset({root, back, mixed}),
+            positive=(
+                PositiveAuth(root, back, PositiveKind.TT),
+                PositiveAuth(root, mixed, PositiveKind.TF),
+                PositiveAuth(back, mixed, PositiveKind.TF),
+            ),
+            negative=(NegativeAuth(root, back),),
+        )
+        assert export_dot(state) == (
+            "digraph authorization {\n"
+            "  rankdir=LR;\n"
+            r'  "Root \"R\"" [peripheries=2];' "\n"
+            r'  "back\\slash";' "\n"
+            r'  "c\"\\d";' "\n"
+            r'  "Root \"R\"" -> "back\\slash" [label="TT", style=dashed];' "\n"
+            r'  "Root \"R\"" -> "c\"\\d" [label="TF"];' "\n"
+            r'  "back\\slash" -> "c\"\\d" [label="TF", style=dashed];' "\n"
+            r'  "Root \"R\"" -> "back\\slash" [label="FF"];' "\n"
+            "}\n"
+        )

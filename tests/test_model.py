@@ -230,6 +230,14 @@ def test_request_scheme_must_be_a_scheme():
         RevocationRequest("WLD", "A", "B")
 
 
+@pytest.mark.parametrize("flag", ["false", None, 0, 1])
+def test_engine_config_flag_must_be_a_bool(flag):
+    # Read by truth value, "false" would select the full descendant rule.
+    with pytest.raises(ModelError, match=f"^sgd_descendant_dominance must be a bool, not {flag!r}$"):
+        EngineConfig(sgd_descendant_dominance=flag)
+    assert EngineConfig(False).sgd_descendant_dominance is False
+
+
 def test_delta_rejects_overlap():
     auth = PositiveAuth("A", "B", PositiveKind.TT)
     with pytest.raises(ModelError):

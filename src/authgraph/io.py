@@ -351,16 +351,12 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _edge_attributes(kind: PositiveKind) -> tuple[str, str]:
-    """A positive edge's attributes, solid and dashed."""
-    label = f"label={_dot_quote(kind.name)}"
-    return label, label + ", style=dashed"
-
-
-# Picked per edge by an identity test, not a dict lookup: an enum member's
-# hash is a Python-level call.
+# A positive edge's attributes by kind, solid and dashed.  Picked per edge
+# by an identity test, not a dict lookup: an enum member's hash is a
+# Python-level call.
 _TT = PositiveKind.TT
-_TT_EDGE, _TF_EDGE = _edge_attributes(PositiveKind.TT), _edge_attributes(PositiveKind.TF)
+_TT_EDGE = ('label="TT"', 'label="TT", style=dashed')
+_TF_EDGE = ('label="TF"', 'label="TF", style=dashed')
 
 
 def export_dot(state: AuthorizationState) -> str:

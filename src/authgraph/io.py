@@ -64,7 +64,7 @@ def _str_member(obj: dict[str, Any], key: str, where: str) -> str:
 _LABEL_MEMBERS = frozenset({"from", "to", "seq", "was_kind", "was_blocked"})
 
 
-def _parse_label(doc: Any, where: str, principals: frozenset[str]) -> RevocationLabel:
+def _parse_label(doc: Any, where: str) -> RevocationLabel:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: label must be an object")
     for key in doc:
@@ -86,17 +86,13 @@ def _parse_label(doc: Any, where: str, principals: frozenset[str]) -> Revocation
     restores_blocked = doc.get("was_blocked", False)
     if not isinstance(restores_blocked, bool):
         raise ParseError(f"{where}: label member 'was_blocked' must be a boolean")
-    label = RevocationLabel(
+    return RevocationLabel(
         root_grantor,
         root_grantee,
         seq,
         restores_kind=restores_kind,
         restores_blocked=restores_blocked,
     )
-    for root in label.root:
-        if root not in principals:
-            raise ParseError(f"{where}: label root {root!r} is not a principal")
-    return label
 
 
 def _parse_endpoints(doc: Any, where: str, allowed: frozenset[str]) -> tuple[str, str]:
@@ -137,10 +133,10 @@ def parse_state(text: str) -> AuthorizationState:
     """Parse a state document and build it through the public constructor.
 
     The checks made here are about the document: members, types and kind
-    names, duplicate names in `principals`, label roots that name no
-    principal, and `time`.  Whether the state is well-formed is the
-    constructor's decision; any `ModelError`, from it or from an entry's
-    value type, becomes a `ParseError` naming the entry.
+    names, duplicate names in `principals`, and `time`.  Whether the state
+    is well-formed is the constructor's decision, and its `ModelError`,
+    which names the entry, becomes a `ParseError`.  So a fault of shape
+    anywhere in the document is reported before a broken rule.
     """
     doc = _load(text)
     if not isinstance(doc, dict):
@@ -177,44 +173,36 @@ def parse_state(text: str) -> AuthorizationState:
         raise ParseError("state: missing member 'positive'")
     if not isinstance(doc["positive"], list):
         raise ParseError("state: member 'positive' must be a list")
-    index = 0
-    try:
-        for index, entry in enumerate(doc["positive"]):
-            # The plain, valid entry: exactly from, to and a kind, all text.
-            if type(entry) is dict and len(entry) == 3:
-                grantor, grantee, kind = entry.get("from"), entry.get("to"), entry.get("kind")
-                if type(grantor) is str and type(grantee) is str and type(kind) is str and kind in _KINDS:
-                    positive.append(PositiveAuth(grantor, grantee, _KINDS[kind]))
-                    continue
-            where = f"positive[{index}]"
-            grantor, grantee = _parse_endpoints(entry, where, _POSITIVE_MEMBERS)
-            raw_kind = _str_member(entry, "kind", where)
-            if raw_kind not in _KINDS:
-                raise ParseError(f"{where}: member 'kind' must be \"TT\" or \"TF\"")
-            label = _parse_label(entry["label"], where, principals) if "label" in entry else None
-            positive.append(PositiveAuth(grantor, grantee, _KINDS[raw_kind], label))
-    except ModelError as exc:
-        raise ParseError(f"positive[{index}]: {exc}") from exc
+    for index, entry in enumerate(doc["positive"]):
+        # The plain entry: exactly from, to and a kind, all text.
+        if type(entry) is dict and len(entry) == 3:
+            grantor, grantee, kind = entry.get("from"), entry.get("to"), entry.get("kind")
+            if type(grantor) is str and type(grantee) is str and type(kind) is str and kind in _KINDS:
+                positive.append(PositiveAuth(grantor, grantee, _KINDS[kind]))
+                continue
+        where = f"positive[{index}]"
+        grantor, grantee = _parse_endpoints(entry, where, _POSITIVE_MEMBERS)
+        raw_kind = _str_member(entry, "kind", where)
+        if raw_kind not in _KINDS:
+            raise ParseError(f"{where}: member 'kind' must be \"TT\" or \"TF\"")
+        label = _parse_label(entry["label"], where) if "label" in entry else None
+        positive.append(PositiveAuth(grantor, grantee, _KINDS[raw_kind], label))
 
     negative: list[NegativeAuth] = []
     if "negative" not in doc:
         raise ParseError("state: missing member 'negative'")
     if not isinstance(doc["negative"], list):
         raise ParseError("state: member 'negative' must be a list")
-    index = 0
-    try:
-        for index, entry in enumerate(doc["negative"]):
-            if type(entry) is dict and len(entry) == 2:
-                grantor, grantee = entry.get("from"), entry.get("to")
-                if type(grantor) is str and type(grantee) is str:
-                    negative.append(NegativeAuth(grantor, grantee))
-                    continue
-            where = f"negative[{index}]"
-            grantor, grantee = _parse_endpoints(entry, where, _NEGATIVE_MEMBERS)
-            label = _parse_label(entry["label"], where, principals) if "label" in entry else None
-            negative.append(NegativeAuth(grantor, grantee, label))
-    except ModelError as exc:
-        raise ParseError(f"negative[{index}]: {exc}") from exc
+    for index, entry in enumerate(doc["negative"]):
+        if type(entry) is dict and len(entry) == 2:
+            grantor, grantee = entry.get("from"), entry.get("to")
+            if type(grantor) is str and type(grantee) is str:
+                negative.append(NegativeAuth(grantor, grantee))
+                continue
+        where = f"negative[{index}]"
+        grantor, grantee = _parse_endpoints(entry, where, _NEGATIVE_MEMBERS)
+        label = _parse_label(entry["label"], where) if "label" in entry else None
+        negative.append(NegativeAuth(grantor, grantee, label))
 
     try:
         return AuthorizationState(soa, principals, tuple(positive), tuple(negative), time)

@@ -20,10 +20,11 @@ deliberately ignored by `states_equal`.
 What a well-formed state is gets decided in one place, the public
 constructor: it checks everything it is given, names the offending entry by
 its position (`positive[3]: unknown principal 'Z'`), and keeps the pair maps
-it checks duplicates with.  `parse_state` checks only the document's shape
-and defers to it.  The engine, which derives each state from a valid one,
-makes its states through `AuthorizationState._after` instead (below), which
-checks nothing.
+it checks duplicates with.  Entries and labels are plain records that check
+nothing themselves, and `parse_state` checks only the document's shape and
+defers to the constructor.  The engine, which derives each state from a
+valid one, makes its states through `AuthorizationState._after` instead
+(below), which checks nothing.
 
 The pair maps of a lineage are shallow-bound (Baker, "Shallow binding makes
 functional arrays fast", 1991; the rerooting of Conchon and Filliâtre's
@@ -231,6 +232,9 @@ class RevocationLabel:
     on its pair (upgraded a TF edge, or cleared a standing FF), the displaced
     facts ride along so undo can restore them instead of deleting the slot.
 
+    A label checks none of its fields: a state's constructor does, for each
+    label its entries carry (`_label_fault`).
+
     * `key`, the operation a label names (root grantor, root grantee,
       sequence), is set by `__post_init__`, also on unpickling; a pickle
       holds the fields only.
@@ -250,16 +254,6 @@ class RevocationLabel:
     candidates: Collection[tuple[Principal, Principal]] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if type(self.root_grantor) is not str or type(self.root_grantee) is not str:
-            raise ModelError("label root principals must be strings")
-        if not self.root_grantor or not self.root_grantee:
-            raise ModelError("label root principals must be non-empty")
-        if type(self.sequence) is not int or self.sequence < 0:
-            raise ModelError("label sequence must be a natural number")
-        if self.restores_kind is not None and type(self.restores_kind) is not PositiveKind:
-            raise ModelError(f"label restores_kind must be a PositiveKind or None, not {self.restores_kind!r}")
-        if type(self.restores_blocked) is not bool:
-            raise ModelError(f"label restores_blocked must be a bool, not {self.restores_blocked!r}")
         self.__dict__["key"] = (self.root_grantor, self.root_grantee, self.sequence)
 
     def __getstate__(self) -> dict:
@@ -283,11 +277,6 @@ class PositiveAuth:
     kind: PositiveKind
     label: RevocationLabel | None = None
 
-    def __post_init__(self) -> None:
-        _check_pair(self.grantor, self.grantee, self.label)
-        if type(self.kind) is not PositiveKind:
-            raise ModelError(f"authorization kind must be a PositiveKind, not {self.kind!r}")
-
     @property
     def pair(self) -> tuple[Principal, Principal]:
         return (self.grantor, self.grantee)
@@ -301,21 +290,9 @@ class NegativeAuth:
     grantee: Principal
     label: RevocationLabel | None = None
 
-    def __post_init__(self) -> None:
-        _check_pair(self.grantor, self.grantee, self.label)
-
     @property
     def pair(self) -> tuple[Principal, Principal]:
         return (self.grantor, self.grantee)
-
-
-def _check_pair(grantor: Principal, grantee: Principal, label: object = None) -> None:
-    if not grantor or not grantee:
-        raise ModelError("principal ids must be non-empty")
-    if grantor == grantee:
-        raise ModelError(f"self-authorization {grantor!r} -> {grantee!r} is not allowed")
-    if label is not None and not isinstance(label, RevocationLabel):
-        raise ModelError(f"label must be a RevocationLabel or None, not {type(label).__name__}")
 
 
 class PairMap(Mapping):
@@ -922,27 +899,63 @@ def _tt_adjacency(
 def _pair_map(
     field: str, kind: type, entries: Iterable[PositiveAuth | NegativeAuth], principals: frozenset, labelled: dict
 ) -> dict[tuple[Principal, Principal], PositiveAuth | NegativeAuth]:
-    """`entries` by pair; each entry must be a `kind`, each endpoint a
-    principal and each pair unique.  Each labelled entry's pair is added to
-    `labelled` under its label's key.
+    """`entries` by pair, the one place that decides every entry rule; each
+    labelled entry's pair is added to `labelled` under its label's key.
 
-    A fault names the entry by its position in `entries`.
+    Each entry must be a `kind` with non-empty endpoints, no self-pair, a
+    `PositiveKind` if it is positive, principals for endpoints, a pair of
+    its own, and no label or a well-formed one (`_label_fault`).  The first
+    rule an entry breaks, in that order, is named with the entry's position
+    in `entries`.
     """
     by_pair: dict = {}
-    noun = "authorization" if kind is PositiveAuth else "negative authorization"
+    positive = kind is PositiveAuth
+    noun = "authorization" if positive else "negative authorization"
     for index, entry in enumerate(entries):
         if type(entry) is not kind:
             raise ModelError(f"{field}[{index}]: expected a {kind.__name__}, not {type(entry).__name__}")
         pair = grantor, grantee = entry.grantor, entry.grantee
-        if grantor not in principals or grantee not in principals:
-            unknown = grantor if grantor not in principals else grantee
-            raise ModelError(f"{field}[{index}]: unknown principal {unknown!r}")
-        if pair in by_pair:
-            raise ModelError(f"{field}[{index}]: duplicate {noun} {grantor!r} -> {grantee!r}")
+        label = entry.label
+        if not grantor or not grantee:  # before membership, which they fail too
+            fault = "principal ids must be non-empty"
+        elif grantor == grantee:
+            fault = f"self-authorization {grantor!r} -> {grantee!r} is not allowed"
+        elif positive and type(entry.kind) is not PositiveKind:
+            fault = f"authorization kind must be a PositiveKind, not {entry.kind!r}"
+        elif grantor not in principals or grantee not in principals:
+            fault = f"unknown principal {grantor if grantor not in principals else grantee!r}"
+        elif pair in by_pair:
+            fault = f"duplicate {noun} {grantor!r} -> {grantee!r}"
+        else:
+            fault = None if label is None else _label_fault(label, principals)
+        if fault is not None:
+            raise ModelError(f"{field}[{index}]: {fault}")
         by_pair[pair] = entry
-        if entry.label is not None:
-            labelled.setdefault(entry.label.key, set()).add(pair)
+        if label is not None:
+            labelled.setdefault(label.key, set()).add(pair)
     return by_pair
+
+
+def _label_fault(label: object, principals: frozenset) -> str | None:
+    """The first rule an entry's `label` breaks, or None: a `RevocationLabel`
+    with text roots, both non-empty and principals, a natural sequence, a
+    `PositiveKind` or None to restore and a bool `restores_blocked`."""
+    if not isinstance(label, RevocationLabel):
+        return f"label must be a RevocationLabel or None, not {type(label).__name__}"
+    if type(label.root_grantor) is not str or type(label.root_grantee) is not str:
+        return "label root principals must be strings"
+    if not label.root_grantor or not label.root_grantee:
+        return "label root principals must be non-empty"
+    if type(label.sequence) is not int or label.sequence < 0:
+        return "label sequence must be a natural number"
+    if label.restores_kind is not None and type(label.restores_kind) is not PositiveKind:
+        return f"label restores_kind must be a PositiveKind or None, not {label.restores_kind!r}"
+    if type(label.restores_blocked) is not bool:
+        return f"label restores_blocked must be a bool, not {label.restores_blocked!r}"
+    for root in label.root:
+        if root not in principals:
+            return f"label root {root!r} is not a principal"
+    return None
 
 
 def _sorted_entries(by_pair: dict[tuple[Principal, Principal], object]) -> tuple:

@@ -91,7 +91,6 @@ from .model import (
     RevokeOp,
     Scheme,
     UndoOp,
-    _check_pair,
     _dependents,
     _recheck,
     _require_principals,
@@ -112,7 +111,10 @@ class RevocationRequest:
     target: Principal
 
     def __post_init__(self) -> None:
-        _check_pair(self.revoker, self.target)
+        if not self.revoker or not self.target:
+            raise ModelError("principal ids must be non-empty")
+        if self.revoker == self.target:
+            raise ModelError(f"self-authorization {self.revoker!r} -> {self.target!r} is not allowed")
         if type(self.scheme) is not Scheme:
             raise ModelError(f"revocation scheme must be a Scheme, not {self.scheme!r}")
 
@@ -199,6 +201,8 @@ def grant(
         raise SelfOperationError(f"{grantor!r} cannot grant to itself")
     if grantor not in state.active_reach:
         raise InactiveGrantorError(f"{grantor!r} has no active rooted delegation chain")
+    if type(kind) is not PositiveKind:  # the one caller value an operation writes into an entry
+        raise ModelError(f"authorization kind must be a PositiveKind, not {kind!r}")
     pos = state.positive_by_pair.edit()
     existing = pos.get((grantor, grantee))
     if existing is not None and existing.kind is PositiveKind.TT and kind is PositiveKind.TF:

@@ -57,6 +57,11 @@ def test_kind_strength_ordering():
     assert not PositiveKind.TF.covers(PositiveKind.TT)
 
 
+def build(positive=(), negative=()):
+    """A state of the principals A, B and C, rooted at A."""
+    return AuthorizationState("A", frozenset("ABC"), tuple(positive), tuple(negative))
+
+
 class TestStateValidation:
     def test_soa_must_be_principal(self):
         with pytest.raises(ModelError, match="SOA 'Z' missing from principals"):
@@ -72,10 +77,10 @@ class TestStateValidation:
             )
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ModelError):
-            PositiveAuth("A", "A", PositiveKind.TT)
-        with pytest.raises(ModelError):
-            NegativeAuth("B", "B")
+        with pytest.raises(ModelError, match=r"^positive\[0\]: self-authorization 'A' -> 'A' is not allowed$"):
+            build(positive=[PositiveAuth("A", "A", PositiveKind.TT)])
+        with pytest.raises(ModelError, match=r"^negative\[1\]: self-authorization 'B' -> 'B' is not allowed$"):
+            build(negative=[NegativeAuth("A", "B"), NegativeAuth("B", "B")])
 
     def test_duplicate_pair_rejected(self):
         dup = (
@@ -116,20 +121,28 @@ class TestStateValidation:
 
     def test_kind_must_be_a_positive_kind(self):
         # a kind name would pass every check and grant no right
-        with pytest.raises(ModelError, match="^authorization kind must be a PositiveKind, not 'TT'$"):
-            PositiveAuth("A", "B", "TT")
+        with pytest.raises(ModelError, match=r"^positive\[1\]: authorization kind must be a PositiveKind, not 'TT'$"):
+            build(positive=[PositiveAuth("A", "C", PositiveKind.TF), PositiveAuth("A", "B", "TT")])
 
     @pytest.mark.parametrize(
         "entry",
         [
-            lambda label: PositiveAuth("A", "B", PositiveKind.TT, label),
-            lambda label: NegativeAuth("A", "B", label),
+            lambda label: build(positive=[PositiveAuth("A", "B", PositiveKind.TT, label)]),
+            lambda label: build(negative=[NegativeAuth("A", "B", label)]),
         ],
     )
     def test_label_must_be_a_revocation_label(self, entry):
         # a document's label object, not parsed, would fail only when written or undone
-        with pytest.raises(ModelError, match="^label must be a RevocationLabel or None, not dict$"):
+        message = r"^(positive|negative)\[0\]: label must be a RevocationLabel or None, not dict$"
+        with pytest.raises(ModelError, match=message):
             entry({"from": "A", "to": "B", "seq": 0})
+
+    def test_label_root_must_be_a_principal(self):
+        # else the state would write a document that does not parse
+        with pytest.raises(ModelError, match=r"^positive\[0\]: label root 'x' is not a principal$"):
+            build(positive=[PositiveAuth("A", "B", PositiveKind.TT, RevocationLabel("x", "B", 0))])
+        with pytest.raises(ModelError, match=r"^negative\[0\]: label root 'y' is not a principal$"):
+            build(negative=[NegativeAuth("A", "B", RevocationLabel("A", "y", 0))])
 
     def test_empty_soa_rejected(self):
         with pytest.raises(ModelError, match="^state: SOA id must be non-empty$"):
@@ -153,10 +166,11 @@ class TestStateValidation:
             AuthorizationState("A", frozenset("ABC"), (tt,), (PositiveAuth("A", "C", PositiveKind.TF),))
 
     def test_empty_endpoint_rejected(self):
-        with pytest.raises(ModelError, match="^principal ids must be non-empty$"):
-            PositiveAuth("", "B", PositiveKind.TT)
-        with pytest.raises(ModelError, match="^principal ids must be non-empty$"):
-            NegativeAuth("A", "")
+        # checked before membership, which an empty id fails too
+        with pytest.raises(ModelError, match=r"^positive\[0\]: principal ids must be non-empty$"):
+            build(positive=[PositiveAuth("", "B", PositiveKind.TT)])
+        with pytest.raises(ModelError, match=r"^negative\[0\]: principal ids must be non-empty$"):
+            build(negative=[NegativeAuth("A", "")])
 
 
 def test_pair_indexes():
@@ -260,36 +274,43 @@ def test_label_root_property():
     assert "key" not in label.__getstate__()  # a pickle holds the fields only
 
 
+def label_rejected(label, message):
+    """A state rejects an entry carrying `label`, in either map, with `message`
+    after the entry's position."""
+    tt = PositiveAuth("A", "B", PositiveKind.TT)
+    with pytest.raises(ModelError, match=r"^positive\[1\]: " + message):
+        build(positive=[tt, PositiveAuth("A", "C", PositiveKind.TF, label)])
+    with pytest.raises(ModelError, match=r"^negative\[0\]: " + message):
+        build(positive=[tt], negative=[NegativeAuth("A", "C", label)])
+
+
 def test_label_sequence_must_be_natural():
-    with pytest.raises(ModelError, match="^label sequence must be a natural number$"):
-        RevocationLabel("A", "B", -1)
+    label_rejected(RevocationLabel("A", "B", -1), "label sequence must be a natural number$")
 
 
 @pytest.mark.parametrize("root", [("A", 3), (3, "B"), (b"A", "B"), ("A", None)])
 def test_label_roots_must_be_strings(root):
-    with pytest.raises(ModelError, match="^label root principals must be strings$"):
-        RevocationLabel(*root, 1)
+    label_rejected(RevocationLabel(*root, 1), "label root principals must be strings$")
 
 
 @pytest.mark.parametrize("sequence", [1.5, True, "1", None])
 def test_label_sequence_must_be_an_int(sequence):
-    with pytest.raises(ModelError, match="^label sequence must be a natural number$"):
-        RevocationLabel("A", "B", sequence)
+    label_rejected(RevocationLabel("A", "B", sequence), "label sequence must be a natural number$")
 
 
 @pytest.mark.parametrize("kind", ["TT", "TF", 1])
 def test_label_restores_kind_must_be_a_kind(kind):
-    with pytest.raises(ModelError, match="^label restores_kind must be a PositiveKind or None"):
-        RevocationLabel("A", "B", 1, restores_kind=kind)
-    assert RevocationLabel("A", "B", 1, restores_kind=PositiveKind.TT).restores_kind is PositiveKind.TT
+    message = f"label restores_kind must be a PositiveKind or None, not {kind!r}$"
+    label_rejected(RevocationLabel("A", "B", 1, restores_kind=kind), message)
+    label = RevocationLabel("A", "B", 1, restores_kind=PositiveKind.TT)
+    assert build(negative=[NegativeAuth("A", "C", label)]).negative_by_pair[("A", "C")].label is label
 
 
 @pytest.mark.parametrize("blocked", ["yes", 1, 0, None])
 def test_label_restores_blocked_must_be_a_bool(blocked):
-    with pytest.raises(ModelError, match="^label restores_blocked must be a bool"):
-        RevocationLabel("A", "B", 1, restores_blocked=blocked)
-    with pytest.raises(ModelError, match="^label restores_blocked must be a bool"):
-        replace(RevocationLabel("A", "B", 1), restores_blocked=blocked)
+    message = f"label restores_blocked must be a bool, not {blocked!r}$"
+    label_rejected(RevocationLabel("A", "B", 1, restores_blocked=blocked), message)
+    label_rejected(replace(RevocationLabel("A", "B", 1), restores_blocked=blocked), message)
 
 
 def test_label_candidates_are_not_part_of_its_value():

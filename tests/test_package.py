@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +37,13 @@ def test_a_name_outside_the_table_is_an_attribute_error(name):
     # not in the package.
     with pytest.raises(AttributeError, match=f"^module 'authgraph' has no attribute '{name}'$"):
         getattr(authgraph, name)
+
+
+def test_readme_library_example_runs(fixtures_dir):
+    # The "Library use" section's example, run as a script in a fresh
+    # interpreter with every warning an error; its asserts are its checks.
+    readme = (fixtures_dir.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "undo_negative(state" in block
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", block], capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr

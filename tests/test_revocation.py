@@ -24,6 +24,7 @@ from authgraph import (
     GrantOp,
     InactiveGrantorError,
     MissingAuthorizationError,
+    ModelError,
     NegativeAuth,
     NegativeOp,
     NothingToUndoError,
@@ -101,6 +102,15 @@ class TestGrant:
             grant(empty_six, "A", "A", TT)
         with pytest.raises(UnknownPrincipalError):
             grant(empty_six, "A", "Z", TT)
+
+    @pytest.mark.parametrize("kind", ["TT", 1, None])
+    def test_kind_must_be_a_positive_kind(self, revocation_base, kind):
+        # the one caller value an operation writes into an entry
+        before = serialize_state(revocation_base)
+        with pytest.raises(ModelError, match=f"^authorization kind must be a PositiveKind, not {kind!r}$"):
+            grant(revocation_base, "A", "E", kind)
+        assert serialize_state(revocation_base) == before
+        assert ("A", "E") not in revocation_base.positive_by_pair
 
     def test_regrant_clears_label(self, revocation_base):
         after, _ = apply_scheme(revocation_base, RevocationRequest(Scheme.WLN, "A", "B"))

@@ -25,6 +25,7 @@ from .model import (
     RevokeOp,
     Scheme,
     UndoOp,
+    _is_utf8,
 )
 
 FORMAT_VERSION = 1
@@ -34,15 +35,6 @@ FORMAT_VERSION = 1
 #
 # Every check raises only when it fails, so no message is built for a
 # document that passes; a large document runs millions of them.
-
-
-def _is_utf8(text: str) -> bool:
-    """False for text UTF-8 cannot encode: a lone surrogate from a `\\ud800` escape."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def _text_member(obj: dict[str, Any], key: str, where: str) -> str:
@@ -74,25 +66,14 @@ def _parse_label(doc: Any, where: str) -> RevocationLabel:
     root_grantee = _str_member(doc, "to", where)
     if "seq" not in doc:
         raise ParseError(f"{where}: missing label member 'seq'")
-    seq = doc["seq"]
-    if not (isinstance(seq, int) and not isinstance(seq, bool) and seq >= 0):
-        raise ParseError(f"{where}: label member 'seq' must be a non-negative integer")
     restores_kind = None
     if "was_kind" in doc:
         raw = doc["was_kind"]
         if not (isinstance(raw, str) and raw in PositiveKind.__members__):
             raise ParseError(f"{where}: label member 'was_kind' must be \"TT\" or \"TF\"")
         restores_kind = PositiveKind[raw]
-    restores_blocked = doc.get("was_blocked", False)
-    if not isinstance(restores_blocked, bool):
-        raise ParseError(f"{where}: label member 'was_blocked' must be a boolean")
-    return RevocationLabel(
-        root_grantor,
-        root_grantee,
-        seq,
-        restores_kind=restores_kind,
-        restores_blocked=restores_blocked,
-    )
+    # The constructor decides `seq` and `was_blocked`.
+    return RevocationLabel(root_grantor, root_grantee, doc["seq"], restores_kind, doc.get("was_blocked", False))
 
 
 def _parse_endpoints(doc: Any, where: str, allowed: frozenset[str]) -> tuple[str, str]:
@@ -132,11 +113,12 @@ _NEGATIVE_MEMBERS = frozenset({"from", "to", "label"})
 def parse_state(text: str) -> AuthorizationState:
     """Parse a state document and build it through the public constructor.
 
-    The checks made here are about the document: members, types and kind
-    names, duplicate names in `principals`, and `time`.  Whether the state
-    is well-formed is the constructor's decision, and its `ModelError`,
-    which names the entry, becomes a `ParseError`.  So a fault of shape
-    anywhere in the document is reported before a broken rule.
+    The checks made here are about the document's shape: members, JSON
+    types, kind names, and duplicate names in `principals`.  What the state
+    may hold, its names and numbers included, is the constructor's
+    decision, and its `ModelError`, which names the entry or principal,
+    becomes a `ParseError`.  So a fault of shape anywhere in the document
+    is reported before a broken rule.
     """
     doc = _load(text)
     if not isinstance(doc, dict):
@@ -146,7 +128,7 @@ def parse_state(text: str) -> AuthorizationState:
             raise ParseError(f"unknown member {key!r}")
     _check_version(doc, "")
 
-    soa = _str_member(doc, "soa", "state")
+    soa = _text_member(doc, "soa", "state")
     if "principals" not in doc:
         raise ParseError("state: missing member 'principals'")
     raw_principals = doc["principals"]
@@ -154,19 +136,12 @@ def parse_state(text: str) -> AuthorizationState:
         isinstance(raw_principals, list) and all(isinstance(p, str) for p in raw_principals)
     ):
         raise ParseError("state: member 'principals' must be a list of text names")
-    if not _is_utf8("".join(raw_principals)):  # one test for all; on failure, find the name
-        for index, name in enumerate(raw_principals):
-            if not _is_utf8(name):
-                raise ParseError(f"principals[{index}]: name is not UTF-8 text")
     principals = frozenset(raw_principals)
     if len(principals) != len(raw_principals):
         raise ParseError("state: duplicate principal names")
 
     if "time" not in doc:
         raise ParseError("state: missing member 'time'")
-    time = doc["time"]
-    if not (isinstance(time, int) and not isinstance(time, bool) and time >= 0):
-        raise ParseError("state: member 'time' must be a non-negative integer")
 
     positive: list[PositiveAuth] = []
     if "positive" not in doc:
@@ -205,7 +180,7 @@ def parse_state(text: str) -> AuthorizationState:
         negative.append(NegativeAuth(grantor, grantee, label))
 
     try:
-        return AuthorizationState(soa, principals, tuple(positive), tuple(negative), time)
+        return AuthorizationState(soa, principals, tuple(positive), tuple(negative), doc["time"])
     except ModelError as exc:
         raise ParseError(str(exc)) from exc
 

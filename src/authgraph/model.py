@@ -18,11 +18,12 @@ The state time is a step counter; it is carried through serialization but
 deliberately ignored by `states_equal`.
 
 What a well-formed state is gets decided in one place, the public
-constructor: it checks everything it is given, names the offending entry by
-its position (`positive[3]: unknown principal 'Z'`), and keeps the pair maps
-it checks duplicates with.  Entries and labels are plain records that check
-nothing themselves, and `parse_state` checks only the document's shape and
-defers to the constructor.  The engine, which derives each state from a
+constructor: it checks everything it is given, names the offending entry or
+principal by its position (`positive[3]: unknown principal 'Z'`), and keeps
+the pair maps it checks duplicates with.  Every state it accepts writes a
+document that parses back to it.  Entries and labels are plain records
+that check nothing themselves, and `parse_state` checks only the
+document's shape and defers to the constructor.  The engine, which derives each state from a
 valid one, makes its states through `AuthorizationState._after` instead
 (below), which checks nothing.
 
@@ -105,6 +106,7 @@ drops it; a pickled state carries none.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -599,13 +601,18 @@ class AuthorizationState:
         for p in self.principals:
             if not isinstance(p, str) or not p:
                 raise ModelError("state: principal ids must be non-empty strings")
+        if not _is_utf8("".join(self.principals)):  # one test for all; on failure, find the name
+            index = next(i for i, p in enumerate(sorted(self.principals)) if not _is_utf8(p))
+            raise ModelError(f"principals[{index}]: name is not UTF-8 text")
         if self.soa not in self.principals:
             raise ModelError(f"state: SOA {self.soa!r} missing from principals")
         if type(self.time) is not int or self.time < 0:
-            raise ModelError("state time must be a natural number")
+            raise ModelError("state: member 'time' must be a non-negative integer")
+        if not _fits_text(self.time):
+            raise ModelError(f"state: member 'time' has more than {sys.get_int_max_str_digits()} digits")
         labelled: dict[LabelKey, set] = {}
-        positive = _pair_map("positive", PositiveAuth, self.positive, self.principals, labelled)
-        negative = _pair_map("negative", NegativeAuth, self.negative, self.principals, labelled)
+        positive = _pair_map(self, "positive", PositiveAuth, labelled)
+        negative = _pair_map(self, "negative", NegativeAuth, labelled)
         fields = self.__dict__
         del fields["positive"], fields["negative"]  # sorted from the maps on first read (below the class)
         fields.update(positive_by_pair=_own_map(positive), negative_by_pair=_own_map(negative), labelled=labelled)
@@ -897,21 +904,23 @@ def _tt_adjacency(
 
 
 def _pair_map(
-    field: str, kind: type, entries: Iterable[PositiveAuth | NegativeAuth], principals: frozenset, labelled: dict
+    state: AuthorizationState, field: str, kind: type, labelled: dict
 ) -> dict[tuple[Principal, Principal], PositiveAuth | NegativeAuth]:
-    """`entries` by pair, the one place that decides every entry rule; each
-    labelled entry's pair is added to `labelled` under its label's key.
+    """The entries of `state`'s `field` by pair, the one place that decides
+    every entry rule; each labelled entry's pair is added to `labelled`
+    under its label's key.
 
     Each entry must be a `kind` with non-empty endpoints, no self-pair, a
     `PositiveKind` if it is positive, principals for endpoints, a pair of
     its own, and no label or a well-formed one (`_label_fault`).  The first
     rule an entry breaks, in that order, is named with the entry's position
-    in `entries`.
+    in `field`.
     """
+    principals, time = state.principals, state.time
     by_pair: dict = {}
     positive = kind is PositiveAuth
     noun = "authorization" if positive else "negative authorization"
-    for index, entry in enumerate(entries):
+    for index, entry in enumerate(getattr(state, field)):
         if type(entry) is not kind:
             raise ModelError(f"{field}[{index}]: expected a {kind.__name__}, not {type(entry).__name__}")
         pair = grantor, grantee = entry.grantor, entry.grantee
@@ -927,7 +936,7 @@ def _pair_map(
         elif pair in by_pair:
             fault = f"duplicate {noun} {grantor!r} -> {grantee!r}"
         else:
-            fault = None if label is None else _label_fault(label, principals)
+            fault = None if label is None else _label_fault(label, principals, time)
         if fault is not None:
             raise ModelError(f"{field}[{index}]: {fault}")
         by_pair[pair] = entry
@@ -936,10 +945,14 @@ def _pair_map(
     return by_pair
 
 
-def _label_fault(label: object, principals: frozenset) -> str | None:
+def _label_fault(label: object, principals: frozenset, time: int) -> str | None:
     """The first rule an entry's `label` breaks, or None: a `RevocationLabel`
     with text roots, both non-empty and principals, a natural sequence, a
-    `PositiveKind` or None to restore and a bool `restores_blocked`."""
+    `PositiveKind` or None to restore and a bool `restores_blocked`; last,
+    a sequence below the state's `time`, as every label the engine issues
+    has.  A later operation issues labels of its own time, so one the state
+    has not reached could share their key and be lifted by their undo.  The
+    time fits the digit limit, so a sequence below it does too."""
     if not isinstance(label, RevocationLabel):
         return f"label must be a RevocationLabel or None, not {type(label).__name__}"
     if type(label.root_grantor) is not str or type(label.root_grantee) is not str:
@@ -947,15 +960,36 @@ def _label_fault(label: object, principals: frozenset) -> str | None:
     if not label.root_grantor or not label.root_grantee:
         return "label root principals must be non-empty"
     if type(label.sequence) is not int or label.sequence < 0:
-        return "label sequence must be a natural number"
+        return "label member 'seq' must be a non-negative integer"
     if label.restores_kind is not None and type(label.restores_kind) is not PositiveKind:
         return f"label restores_kind must be a PositiveKind or None, not {label.restores_kind!r}"
     if type(label.restores_blocked) is not bool:
-        return f"label restores_blocked must be a bool, not {label.restores_blocked!r}"
+        return "label member 'was_blocked' must be a boolean"
     for root in label.root:
         if root not in principals:
             return f"label root {root!r} is not a principal"
+    if label.sequence >= time:
+        return "label member 'seq' must be below the state's time"
     return None
+
+
+def _is_utf8(text: str) -> bool:
+    """False for text UTF-8 cannot encode: a lone surrogate from a `\\ud800` escape."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _fits_text(n: int) -> bool:
+    """Whether the natural number `n` converts to text under the
+    interpreter's digit limit (`sys.get_int_max_str_digits()`, 0 for none),
+    as `serialize_state` converts it and `json.loads` reads it back.  A
+    number of fewer than 3 bits per allowed digit is within the limit, as
+    2**3 < 10, so only a huge one is compared with the power of ten."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or n.bit_length() < 3 * limit or n < 10**limit
 
 
 def _sorted_entries(by_pair: dict[tuple[Principal, Principal], object]) -> tuple:

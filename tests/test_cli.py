@@ -6,17 +6,23 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
 
-from authgraph import parse_state, states_equal
+from authgraph import AuthGraphError, ParseError, parse_state, parse_trace, states_equal
 from authgraph.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_VIOLATIONS,
     main,
 )
+
+import hostile
 
 
 def path(fixtures_dir, name):
@@ -420,6 +426,167 @@ class TestFailureModes:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "authgraph" in capsys.readouterr().out
+
+
+def run(argv):
+    """`main(argv)`'s exit code and what it wrote to standard error."""
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, err.getvalue()
+
+
+def chain_document(length):
+    """A TT chain p00000 -> p00001 -> ... of `length` principals."""
+    names = [f"p{i:05d}" for i in range(length)]
+    positive = [{"from": a, "to": b, "kind": "TT"} for a, b in zip(names, names[1:])]
+    return json.dumps({"soa": names[0], "principals": names, "positive": positive, "negative": [], "time": 0})
+
+
+LABELLED = {
+    "soa": "A",
+    "principals": ["A", "B"],
+    "positive": [{"from": "A", "to": "B", "kind": "TT", "label": {"from": "A", "to": "B", "seq": 0}}],
+    "negative": [],
+    "time": 1,
+}
+
+
+def labelled_document(**label):
+    """`LABELLED` with its label's members updated, or removed where None."""
+    doc = json.loads(json.dumps(LABELLED))
+    doc["positive"][0]["label"].update(label)
+    doc["positive"][0]["label"] = {k: v for k, v in doc["positive"][0]["label"].items() if v is not None}
+    return json.dumps(doc)
+
+
+class TestHostileInput:
+    """Odd or hostile input ends in exit 2 (parse) or 3 (precondition) with
+    one line of diagnostic, never in exit 4 or a traceback."""
+
+    @given(text=hostile.mutated_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_a_mutated_state_document(self, tmp_path_factory, text):
+        work = tmp_path_factory.getbasetemp()
+        (work / "state.json").write_text(text, encoding="utf-8")
+        try:
+            parse_state(text)
+            fault = None
+        except ParseError as exc:
+            fault = f"error: {exc}\n"
+        out = work / "out"
+        for command, options, codes in (
+            ("check", [], (EXIT_OK, EXIT_VIOLATIONS)),
+            ("export", ["-o", out], (EXIT_OK,)),
+            ("apply", ["--scheme", "SGN", "--from", "A", "--to", "B", "-o", out], (EXIT_OK, EXIT_PRECONDITION)),
+        ):
+            code, err = run([command, work / "state.json", *options])
+            if fault is not None:
+                assert (code, err) == (EXIT_PARSE, fault), command
+            else:
+                assert code in codes and "internal error" not in err and "Traceback" not in err, (command, err)
+
+    @given(text=hostile.mutated_documents(hostile.TRACE_DOCUMENTS))
+    @settings(max_examples=100, deadline=None)
+    def test_a_mutated_trace(self, tmp_path_factory, fixtures_dir, text):
+        work = tmp_path_factory.getbasetemp()
+        (work / "ops.trace.json").write_text(text, encoding="utf-8")
+        code, err = run(["trace", fixtures_dir / "empty_six.json", work / "ops.trace.json", "-o", work / "out"])
+        try:
+            parse_trace(text)
+        except ParseError as exc:
+            assert (code, err) == (EXIT_PARSE, f"error: {exc}\n")
+        else:
+            assert code in (EXIT_OK, EXIT_PRECONDITION) and "internal error" not in err, err
+
+    @pytest.mark.parametrize(
+        "scheme, summary",
+        [
+            ("SGD", "+0/-4999 positive, +0/-0 negative"),
+            ("WGD", "+0/-4999 positive, +0/-0 negative"),
+            ("SGN", "+0/-0 positive, +4999/-0 negative"),
+            ("WLN", "+1/-0 positive, +1/-0 negative"),
+        ],
+    )
+    def test_a_deep_chain(self, tmp_path, scheme, summary):
+        # far deeper than the interpreter's recursion limit
+        doc = tmp_path / "chain.json"
+        doc.write_text(chain_document(5000), encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert run(["apply", doc, "--scheme", scheme, "--from", "p00000", "--to", "p00001", "-o", out]) == (
+            EXIT_OK,
+            f"revoke {scheme} p00000 -> p00001: {summary}\n",
+        )
+        assert run(["check", out]) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize("command", ["check", "trace"])
+    def test_deeply_nested_objects(self, fixtures_dir, tmp_path, command):
+        nested = tmp_path / "nested.json"
+        nested.write_text('{"a": ' * 100_000, encoding="utf-8")
+        argv = ["check", nested] if command == "check" else ["trace", fixtures_dir / "empty_six.json", nested]
+        assert run(argv) == (EXIT_PARSE, "error: invalid document: nested too deeply\n")
+
+    def test_huge_documents(self, tmp_path):
+        doc = tmp_path / "huge.json"
+        long_name = "n" * 1_000_000
+        doc.write_text(
+            json.dumps({"soa": "A", "principals": ["A", long_name], "positive": [], "negative": [], "time": 0}),
+            encoding="utf-8",
+        )
+        assert run(["check", doc]) == (EXIT_OK, "")
+        many = [f"p{i}" for i in range(100_000)]
+        doc.write_text(
+            json.dumps({"soa": "p0", "principals": many + ["p7"], "positive": [], "negative": [], "time": 0}),
+            encoding="utf-8",
+        )
+        assert run(["check", doc]) == (EXIT_PARSE, "error: state: duplicate principal names\n")
+        doc.write_text(labelled_document().replace('"seq": 0', '"seq": ' + "9" * 5000), encoding="utf-8")
+        code, err = run(["check", doc])
+        assert code == EXIT_PARSE and err.startswith("error: invalid document: ")
+
+    @pytest.mark.parametrize(
+        "label, fault",
+        [
+            ({}, None),
+            ({"seq": 1}, "label member 'seq' must be below the state's time"),
+            ({"seq": -1}, "label member 'seq' must be a non-negative integer"),
+            ({"seq": 0.5}, "label member 'seq' must be a non-negative integer"),
+            ({"seq": True}, "label member 'seq' must be a non-negative integer"),
+            ({"seq": "0"}, "label member 'seq' must be a non-negative integer"),
+            ({"was_blocked": "yes"}, "label member 'was_blocked' must be a boolean"),
+            ({"was_kind": "FF"}, 'label member \'was_kind\' must be "TT" or "TF"'),
+            ({"from": "Z"}, "label root 'Z' is not a principal"),
+            ({"to": "\ud800"}, "member 'to' is not UTF-8 text"),
+            ({"from": 1}, "member 'from' must be text"),
+            ({"seq": None}, "missing label member 'seq'"),
+            ({"why": 1}, "unknown label member 'why'"),
+        ],
+    )
+    def test_a_hand_edited_label(self, tmp_path, label, fault):
+        doc = tmp_path / "labelled.json"
+        doc.write_text(labelled_document(**label), encoding="utf-8")
+        expected = (EXIT_PARSE, f"error: positive[0]: {fault}\n") if fault else (EXIT_OK, "")
+        assert run(["check", doc]) == expected
+
+
+class TestInternalError:
+    @pytest.mark.parametrize(
+        "raised, printed",
+        [
+            (RuntimeError("boom"), "internal error: RuntimeError('boom')\n"),
+            (AuthGraphError("boom"), "internal error: boom\n"),
+        ],
+        ids=["unexpected", "package-error"],
+    )
+    def test_a_failing_operation_exits_4(self, fixtures_dir, tmp_path, monkeypatch, raised, printed):
+        def fail(*args):
+            raise raised
+
+        monkeypatch.setattr("authgraph.revocation.apply_step", fail)
+        out = tmp_path / "out.json"
+        argv = ["apply", fixtures_dir / "revocation_base.json", "--scheme", "WLD", "--from", "A", "--to", "B"]
+        assert run([*argv, "-o", out]) == (EXIT_INTERNAL, printed)
+        assert not out.exists()
 
 
 class TestModuleInvocation:

@@ -6,11 +6,12 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from authgraph import (
     AuthorizationState,
     GrantOp,
+    ModelError,
     NegativeAuth,
     NegativeOp,
     ParseError,
@@ -32,6 +33,7 @@ from authgraph import (
     states_equal,
 )
 
+import hostile
 import sample_states
 
 GOLDEN_STATES = [
@@ -159,20 +161,21 @@ def labelled_states(draw):
     names = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=4), min_size=1, max_size=5, unique=True))
     pairs = [(a, b) for a in names for b in names if a != b]
     roots = st.sampled_from(names)  # the constructor allows principals only
-    labels = st.none() | st.builds(
-        RevocationLabel,
-        roots,
-        roots,
-        st.integers(0, 10**12),
-        st.none() | st.sampled_from(PositiveKind),
-        st.booleans(),
-    )
+    time = draw(st.integers(0, 10**12))
+    labels = st.none()
+    if time:  # a label's sequence is below the state's time
+        labels |= st.builds(
+            RevocationLabel,
+            roots,
+            roots,
+            st.integers(0, time - 1),
+            st.none() | st.sampled_from(PositiveKind),
+            st.booleans(),
+        )
     entries = st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])
     positive = [PositiveAuth(*pair, draw(st.sampled_from(PositiveKind)), draw(labels)) for pair in draw(entries)]
     negative = [NegativeAuth(*pair, draw(labels)) for pair in draw(entries)]
-    return AuthorizationState(
-        names[0], frozenset(names), tuple(positive), tuple(negative), draw(st.integers(0, 10**12))
-    )
+    return AuthorizationState(names[0], frozenset(names), tuple(positive), tuple(negative), time)
 
 
 @given(labelled_states())
@@ -193,6 +196,43 @@ def test_the_constructor_records_every_label(state):
     assert states_equal(back, state) and back.time == state.time
     for copy in (state, pickle.loads(pickle.dumps(state)), back):
         assert {key: set(pairs) for key, pairs in copy.labelled.items()} == scanned
+
+
+@given(hostile.constructor_arguments())
+@settings(max_examples=300)
+def test_every_state_the_constructor_accepts_round_trips(arguments):
+    # Names of any text, ints of any sign and size, labels of any fields:
+    # the constructor refuses what the state's document could not carry.
+    try:
+        state = AuthorizationState(*arguments)
+    except ModelError:
+        return
+    hostile.assert_round_trips(state)
+
+
+@given(hostile.mutated_documents())
+@settings(max_examples=300)
+def test_a_mutated_document_is_refused_or_round_trips(text):
+    try:
+        state = parse_state(text)
+    except ParseError:
+        return
+    hostile.assert_round_trips(state)
+
+
+@pytest.mark.parametrize(
+    "principals, time, message",
+    [
+        (frozenset({"A", "\ud800"}), 0, r"^principals\[1\]: name is not UTF-8 text$"),
+        # named by its position in sorted order, as every canonical document lists it
+        (frozenset({"\udfff", "A", "B"}), 0, r"^principals\[2\]: name is not UTF-8 text$"),
+        (frozenset("A"), 10**hostile.DIGITS, r"^state: member 'time' has more than \d+ digits$"),
+    ],
+    ids=["surrogate", "sorted-position", "time-digits"],
+)
+def test_the_constructor_refuses_what_a_document_cannot_carry(principals, time, message):
+    with pytest.raises(ModelError, match=message):
+        AuthorizationState("A", principals, (), (), time)
 
 
 def _mutant(mutate):

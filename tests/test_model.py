@@ -58,8 +58,9 @@ def test_kind_strength_ordering():
 
 
 def build(positive=(), negative=()):
-    """A state of the principals A, B and C, rooted at A."""
-    return AuthorizationState("A", frozenset("ABC"), tuple(positive), tuple(negative))
+    """A state of the principals A, B and C, rooted at A, at time 2: labels
+    of sequence 0 and 1 are below it."""
+    return AuthorizationState("A", frozenset("ABC"), tuple(positive), tuple(negative), 2)
 
 
 class TestStateValidation:
@@ -116,7 +117,7 @@ class TestStateValidation:
     @pytest.mark.parametrize("time", [1.5, True, "3"])
     def test_time_must_be_an_int(self, time):
         # a float fails only when written, and True is written as 1
-        with pytest.raises(ModelError, match="^state time must be a natural number$"):
+        with pytest.raises(ModelError, match="^state: member 'time' must be a non-negative integer$"):
             AuthorizationState(soa="A", principals=frozenset({"A"}), positive=(), negative=(), time=time)
 
     def test_kind_must_be_a_positive_kind(self):
@@ -214,6 +215,7 @@ def test_states_equal_sees_labels():
         principals=frozenset({"A", "B"}),
         positive=(PositiveAuth("A", "B", PositiveKind.TT, label),),
         negative=(),
+        time=4,
     )
     rhs = AuthorizationState(
         soa="A",
@@ -237,6 +239,12 @@ def test_replace_authorizations_keeps_identity_fields():
 def test_request_rejects_self_revocation():
     with pytest.raises(ModelError):
         RevocationRequest(Scheme.WLD, "A", "A")
+
+
+@pytest.mark.parametrize("revoker, target", [("", "B"), ("A", ""), ("", "")])
+def test_request_rejects_an_empty_principal(revoker, target):
+    with pytest.raises(ModelError, match="^principal ids must be non-empty$"):
+        RevocationRequest(Scheme.WLD, revoker, target)
 
 
 def test_request_scheme_must_be_a_scheme():
@@ -285,7 +293,7 @@ def label_rejected(label, message):
 
 
 def test_label_sequence_must_be_natural():
-    label_rejected(RevocationLabel("A", "B", -1), "label sequence must be a natural number$")
+    label_rejected(RevocationLabel("A", "B", -1), "label member 'seq' must be a non-negative integer$")
 
 
 @pytest.mark.parametrize("root", [("A", 3), (3, "B"), (b"A", "B"), ("A", None)])
@@ -295,7 +303,7 @@ def test_label_roots_must_be_strings(root):
 
 @pytest.mark.parametrize("sequence", [1.5, True, "1", None])
 def test_label_sequence_must_be_an_int(sequence):
-    label_rejected(RevocationLabel("A", "B", sequence), "label sequence must be a natural number$")
+    label_rejected(RevocationLabel("A", "B", sequence), "label member 'seq' must be a non-negative integer$")
 
 
 @pytest.mark.parametrize("kind", ["TT", "TF", 1])
@@ -308,7 +316,7 @@ def test_label_restores_kind_must_be_a_kind(kind):
 
 @pytest.mark.parametrize("blocked", ["yes", 1, 0, None])
 def test_label_restores_blocked_must_be_a_bool(blocked):
-    message = f"label restores_blocked must be a bool, not {blocked!r}$"
+    message = "label member 'was_blocked' must be a boolean$"
     label_rejected(RevocationLabel("A", "B", 1, restores_blocked=blocked), message)
     label_rejected(replace(RevocationLabel("A", "B", 1), restores_blocked=blocked), message)
 

@@ -271,7 +271,9 @@ def edited_states(draw):
     pairs = [(a, b) for a in names for b in names if a != b]
     state = (rooted_states if draw(st.booleans()) else constructed_states)(draw, names)
     # entries of the state and of the edits carry labels under a few keys,
-    # so a positive and a negative entry on one pair may carry different ones
+    # so a positive and a negative entry on one pair may carry different ones;
+    # the state's time is past their sequences
+    state = state.replace_authorizations(time=3)
     labels = st.sampled_from([None] + [RevocationLabel("A", "B", t) for t in range(3)])
     if draw(st.booleans()):
         state = state.replace_authorizations(
@@ -497,8 +499,8 @@ def test_independence_on_a_derived_tree_that_is_no_bfs_tree():
 
 
 def lineage_start(draw):
-    """A fresh state, or a rooted one whose blocks may carry document labels,
-    some of them of a sequence the state has not reached."""
+    """A fresh state, or a rooted one whose blocks may carry document labels
+    of any sequence below its time."""
     names = NAMES[: draw(st.integers(2, 6))]
     if draw(st.booleans()):
         return new_state("A", names)
@@ -507,7 +509,7 @@ def lineage_start(draw):
         RevocationLabel, st.sampled_from(names), st.sampled_from(names), st.integers(0, 3)
     )
     return state.replace_authorizations(
-        negative=[NegativeAuth(n.grantor, n.grantee, draw(labels)) for n in state.negative]
+        negative=[NegativeAuth(n.grantor, n.grantee, draw(labels)) for n in state.negative], time=4
     )
 
 
